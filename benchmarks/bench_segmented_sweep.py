@@ -9,8 +9,8 @@ mode and publishes one row per regime:
 * **flat serial** — the monolithic baseline everything is measured
   against;
 * **adaptive, jobs=1 cold** — the policy collapses to one whole-trace
-  segment and takes the fused serial path, so segmentation must not
-  lose to the flat engine when there is nothing to parallelize;
+  segment streamed in one ``seg-stream`` unit, so segmentation must
+  not lose to the flat engine when there is nothing to parallelize;
 * **fixed pool, cold** — (config x segment) units spread across the
   worker pool;
 * **sampled, jobs=1 cold** — simulate every Nth segment and
@@ -71,6 +71,7 @@ def test_segmented_sweep_speedup(benchmark, smoke):
     segment_insns = SMOKE_SEGMENT_INSNS if smoke else SEGMENT_INSNS
     points = _campaign(scale).points()
     ncpu = os.cpu_count() or 1
+    fixed_policy = SegmentPolicy(segment_insns=segment_insns)
     adaptive_policy = SegmentPolicy(mode="adaptive")
     sampled_policy = SegmentPolicy(mode="sampled",
                                    segment_insns=SAMPLE_SEGMENT_INSNS,
@@ -82,7 +83,7 @@ def test_segmented_sweep_speedup(benchmark, smoke):
         # flat serial engine: the monolithic baseline
         flat, flat_s = _timed(
             lambda: run_sweep(points, jobs=1, store_dir=flat_store))
-        # adaptive jobs=1: one whole-trace segment, fused serial path
+        # adaptive jobs=1: one whole-trace segment, one streamed unit
         adaptive, adaptive_s = _timed(
             lambda: run_segmented_sweep(points, adaptive_policy, jobs=1,
                                         store_dir=adaptive_store))
@@ -93,12 +94,12 @@ def test_segmented_sweep_speedup(benchmark, smoke):
         # fixed-grain pool: (config x segment) units across workers
         parallel, parallel_s = benchmark.pedantic(
             lambda: _timed(
-                lambda: run_segmented_sweep(points, segment_insns,
+                lambda: run_segmented_sweep(points, fixed_policy,
                                             jobs=ncpu,
                                             store_dir=parallel_store)),
             rounds=1, iterations=1)
         warm, warm_s = _timed(
-            lambda: run_segmented_sweep(points, segment_insns, jobs=ncpu,
+            lambda: run_segmented_sweep(points, fixed_policy, jobs=ncpu,
                                         store_dir=parallel_store))
 
     # segmented exact results are deterministic across reruns

@@ -235,12 +235,6 @@ def _build_segment_policy(args) -> SegmentPolicy | None:
                          warmup_insns=args.warmup_insns or 0)
 
 
-#: ``--workloads`` splitting lives beside the campaign spec code now
-#: (the service's job specs need it too); the name is kept for the
-#: handlers below.
-_split_workloads = split_workloads
-
-
 def _parse_scales(args) -> list[int]:
     """The --scales list, falling back to the global --scale option."""
     if args.scales is None:
@@ -260,7 +254,7 @@ def _cmd_sweep(args) -> int:
         scales = _parse_scales(args)
         axes = [parse_axis(spec) for spec in args.axis or []]
         campaign = Campaign.from_axes(
-            workloads=_split_workloads(args.workloads)
+            workloads=split_workloads(args.workloads)
             if args.workloads else None,
             suite=args.suite, scales=scales,
             base=base, axes=axes, include_baseline=args.baseline)
@@ -342,7 +336,7 @@ def _cmd_search(args) -> int:
         scales = tuple(_parse_scales(args))
         space = SearchSpace.from_specs(args.dim)
         workloads = resolve_search_workloads(
-            _split_workloads(args.workloads) if args.workloads else None,
+            split_workloads(args.workloads) if args.workloads else None,
             args.suite)
         objective = make_objective(args.objective,
                                    _parse_weights(args.weight))

@@ -55,7 +55,7 @@ from .pool import (ExecutionContext, PointResult, SweepResult, run_sweep,
 from .search import (Candidate, Categorical, Evaluation, IntRange,
                      SearchResult, SearchSpace, make_objective, parse_dim,
                      run_search)
-from .segments import (SegmentPlan, plan_segments, run_segmented_sweep,
+from .segments import (SegmentPlan, run_segmented_sweep,
                        simulate_workload_segmented)
 from .store import ArtifactStore
 from .telemetry import TELEMETRY, MetricsRegistry
@@ -88,7 +88,7 @@ __all__ = [
     "Candidate", "Categorical", "Evaluation", "IntRange",
     "SearchResult", "SearchSpace", "make_objective", "parse_dim",
     "run_search",
-    "SegmentPlan", "plan_segments", "run_segmented_sweep",
+    "SegmentPlan", "run_segmented_sweep",
     "simulate_workload_segmented",
     # service symbols are deliberately NOT in __all__: a star-import
     # would resolve each name through __getattr__ and eagerly load

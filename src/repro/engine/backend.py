@@ -14,9 +14,11 @@ obtained from an :class:`ExecutionBackend`, and merges results by
 ticket.  Three backends implement the protocol:
 
 ``InlineBackend``
-    Executes each unit eagerly at submit time in the calling process —
-    zero processes, completion order equals submission order.  This is
-    the old scattered ``jobs == 1`` special case, once.
+    Queues units at submit time and executes each one in the calling
+    process when ``wait_any`` pops it — zero processes, completion
+    order equals submission order, and a planner that stops draining
+    runs nothing more.  This is the old scattered ``jobs == 1`` special
+    case, once.
 ``PoolBackend``
     Wraps today's ``ProcessPoolExecutor`` plus the ``workers.py``
     start-method/queue-wait scaffolding.  Worker processes drain their
@@ -217,8 +219,10 @@ class ExecutionBackend:
     #: ``inline`` / ``pool`` / ``workers`` — telemetry label + CLI name.
     name = "backend"
 
-    #: How parallel a *plan* should be: 1 means planners take their
-    #: fused serial paths; anything larger means emit-units paths.
+    #: How many units can run at once.  Planners submit the same
+    #: units on every backend, except that at 1 the segmented planner
+    #: streams a cold trace in one unit (nothing would run beside a
+    #: chain of them) and the runner skips its parallel prewarm.
     parallelism = 1
 
     def group(self) -> UnitGroup:
@@ -243,26 +247,29 @@ class ExecutionBackend:
 class _InlineGroup(UnitGroup):
     def __init__(self, env: ExecutionEnv):
         self.env = env
-        self._ready: deque[tuple[int, object]] = deque()
+        self._queue: deque[tuple[int, WorkUnit]] = deque()
         self._next_ticket = 0
 
     def submit(self, unit: WorkUnit) -> int:
         ticket = self._next_ticket
         self._next_ticket += 1
         _count_lease("inline")
-        # eager execution: completion order IS submission order, which
-        # makes the inline backend trivially deterministic
-        self._ready.append((ticket, execute_unit(unit, self.env)))
+        self._queue.append((ticket, unit))
         return ticket
 
     def wait_any(self) -> tuple[int, object]:
-        if not self._ready:
+        # lazy FIFO execution: completion order IS submission order
+        # (trivially deterministic), and an abandoned or cancelled
+        # planner run stops at its next unit because nothing executes
+        # until it is drained
+        if not self._queue:
             raise RuntimeError("wait_any() with no pending units")
-        return self._ready.popleft()
+        ticket, unit = self._queue.popleft()
+        return ticket, execute_unit(unit, self.env)
 
     @property
     def pending(self) -> int:
-        return len(self._ready)
+        return len(self._queue)
 
 
 class InlineBackend(ExecutionBackend):
@@ -414,17 +421,19 @@ def _send_frame(conn: socket.socket, message: dict) -> None:
     conn.sendall(_HEADER.pack(len(payload)) + payload)
 
 
-def _recv_exact(conn: socket.socket, count: int) -> bytes | None:
+def _recv_exact(conn: socket.socket, count: int) -> bytearray | None:
     """Exactly *count* bytes, ``None`` on clean EOF at a frame edge."""
-    chunks = b""
-    while len(chunks) < count:
-        chunk = conn.recv(count - len(chunks))
-        if not chunk:
-            if chunks:
+    buffer = bytearray(count)
+    view = memoryview(buffer)
+    received = 0
+    while received < count:
+        got = conn.recv_into(view[received:])
+        if not got:
+            if received:
                 raise ConnectionError("connection dropped mid-frame")
             return None
-        chunks += chunk
-    return chunks
+        received += got
+    return buffer
 
 
 def _recv_frame(conn: socket.socket) -> dict | None:

@@ -301,12 +301,6 @@ def run_fuzz(seeds: range, families: tuple[str, ...] = FAMILIES,
                 (spec.name, scale, segment_insns,
                  scale * DEFAULT_MAX_INSTRUCTIONS), phase="fuzz"))
             tickets[ticket] = index
-            if backend.parallelism <= 1:
-                # serial: drain per submit so findings stream one by
-                # one (the inline group executed the unit eagerly)
-                ticket, report = group.wait_any()
-                slots[tickets.pop(ticket)] = report
-                _emit_ready()
         while group.pending:
             ticket, report = group.wait_any()
             slots[tickets.pop(ticket)] = report

@@ -10,13 +10,15 @@ shard finishes; :func:`run_sweep` is the collect-everything wrapper:
 * Shards become ``sweep-shard`` :class:`~repro.engine.backend.WorkUnit`
   s submitted to an :class:`~repro.engine.backend.ExecutionBackend` —
   inline (serial, in-process), a local process pool, or remote socket
-  workers; the planner only absorbs results by grid index, so the
-  ledger is identical on every backend.  Completed shards stream back
-  as they finish; a consumer that stops iterating early (``break`` /
-  ``close()``) abandons the not-yet-consumed results — shards already
-  *executing* finish (their artifacts land in the store), still-queued
-  shards are cancelled, so a cancelled service job stops near its next
-  completed shard instead of running the whole grid.
+  workers.  One loop serves them all: submit every shard, then drain
+  results as they complete, absorbing them by grid index, so the
+  ledger is identical on every backend.  A consumer that stops
+  iterating early (``break`` / ``close()``) abandons the
+  not-yet-consumed results — shards already *executing* finish (their
+  artifacts land in the store), still-queued shards never run (the
+  inline backend executes a unit only when it is drained; an owned
+  pool cancels its queue), so a cancelled service job stops near its
+  next completed shard instead of running the whole grid.
 * When an :class:`~repro.engine.store.ArtifactStore` directory is
   given, workers consult it before emulating or simulating anything
   and persist whatever they compute, so a re-run of the same grid
@@ -55,10 +57,6 @@ from .campaign import SweepPoint
 from .events import PointEvent
 from .store import ArtifactStore
 from .telemetry import TELEMETRY
-# Re-exported for back-compat: both lived here before the worker
-# scaffolding moved to engine/workers.py (shared with backend.py).
-from .workers import observe_wait, set_worker_start_method  # noqa: F401
-from .workers import pool_kwargs as _pool_kwargs  # noqa: F401
 
 
 #: Default cap on driver/worker-cached traces.  Shards are grouped by
@@ -424,32 +422,21 @@ def run_sweep_iter(points: list[SweepPoint], jobs: int | None = 1,
     inline = backend.name == "inline"
     try:
         group = backend.group()
-        if backend.parallelism <= 1:
-            # one unit in flight: an abandoned generator stops at its
-            # next shard boundary instead of running the whole grid
-            for shard in shards:
-                group.submit(WorkUnit("sweep-shard",
-                                      (shard, limit_insns,
-                                       max_cached_traces)))
-                _, (shard_out, evictions) = group.wait_any()
+        for shard in shards:
+            group.submit(WorkUnit("sweep-shard",
+                                  (shard, limit_insns, max_cached_traces)))
+        while group.pending:
+            _, (shard_out, evictions) = group.wait_any()
+            if inline:
                 # before the yields: a consumer that breaks mid-shard
                 # must still see this shard's evictions
                 counters["trace_evictions"] = evictions
-                yield from _absorb(shard_out)
-        else:
-            for shard in shards:
-                group.submit(WorkUnit("sweep-shard",
-                                      (shard, limit_insns,
-                                       max_cached_traces)))
-            while group.pending:
-                _, (shard_out, evictions) = group.wait_any()
-                if inline:
-                    counters["trace_evictions"] = evictions
-                yield from _absorb(shard_out)
+            yield from _absorb(shard_out)
     finally:
         # an abandoned generator (early break / close(), or a
         # cancelled service job) must not run the rest of the grid:
-        # closing an owned pool cancels its still-queued units
+        # the inline group runs a unit only when drained, and closing
+        # an owned pool cancels its still-queued units
         if owned:
             backend.close()
 
@@ -458,7 +445,6 @@ def run_sweep(points: list[SweepPoint], jobs: int | None = 1,
               store_dir: str | os.PathLike | None = None,
               progress=None, segment_policy=None,
               max_cached_traces: int | None = DEFAULT_TRACE_CACHE,
-              segment_insns: int | None = None,
               backend=None) -> SweepResult:
     """Execute a sweep grid, optionally in parallel and/or persisted.
 
@@ -469,16 +455,12 @@ def run_sweep(points: list[SweepPoint], jobs: int | None = 1,
     :class:`~repro.engine.events.SegmentEvent`).
 
     ``segment_policy`` (a
-    :class:`~repro.engine.segments.SegmentPolicy`, a bare segment
-    size, or a policy-manifest dict) switches to the segmented engine
-    (:func:`repro.engine.segments.run_segmented_sweep`): traces are
-    split into instruction-count segments that parallelize *within* a
-    workload, at the cost of per-segment cold-start/drain effects on
-    cycle counts.  ``segment_insns`` is the deprecated spelling of
-    ``segment_policy=<int>``.
+    :class:`~repro.engine.segments.SegmentPolicy`) switches to the
+    segmented engine (:func:`repro.engine.segments.run_segmented_sweep`):
+    traces are split into instruction-count segments that parallelize
+    *within* a workload, at the cost of per-segment cold-start/drain
+    effects on cycle counts.
     """
-    if segment_policy is None:
-        segment_policy = segment_insns
     if segment_policy is not None:
         from .segments import run_segmented_sweep
         return run_segmented_sweep(points, segment_policy, jobs=jobs,

@@ -7,7 +7,7 @@ instruction-count **segments** and simulates them under a
 :class:`SegmentPolicy`:
 
 * ``mode="fixed"`` — segments of exactly ``segment_insns``
-  instructions (the original behavior; bare ints coerce to this).
+  instructions.
 * ``mode="adaptive"`` — segment size derived from the trace length:
   short traces collapse to one segment (zero extra drain boundaries,
   stats identical to the monolithic run), long traces target about
@@ -19,15 +19,23 @@ instruction-count **segments** and simulates them under a
   ``estimated``; exact modes stay byte-identical to the flat engine's
   event counters.
 
-The emulate and simulate stages are **pipelined**: the serial path
-streams one emulator through the trace and simulates each detailed
-window the moment it materializes (never pickling whole-trace
-artifacts it does not need); the parallel path emits per-segment
-window and ``(config x segment)`` simulation *work units* to an
-:class:`~repro.engine.backend.ExecutionBackend` (a local process pool
-or remote socket workers), chaining window units through stored
-checkpoints and dispatching each segment's simulation shard as soon
-as its columns land, rather than after the whole plan.
+One planner drives every :class:`~repro.engine.backend.ExecutionBackend`
+(inline, a local process pool, or remote socket workers).  It submits
+work units and absorbs their results by ticket:
+
+* a pair whose plan is known (a stored manifest, or a stored oracle
+  trace to slice) is one ``seg-shard`` unit per detailed segment, each
+  simulating that window for every config that misses the
+  segment-stats cache;
+* a cold pair on a parallel backend is a chain of ``seg-window``
+  units, each emulating one segment from the previous boundary's
+  stored checkpoint, with each detailed segment's shard dispatched as
+  soon as its columns land (adaptive mode first learns the trace
+  length with a ``seg-measure`` unit);
+* a cold pair on a serial backend is one ``seg-stream`` unit: one
+  emulator walks the trace and simulates each detailed window the
+  moment it materializes, writing no segment trace, checkpoint or
+  oracle trace that nothing would read back.
 
 Segment boundaries are unchanged from the original planner: each
 segment starts a **cold** microarchitecture (empty caches/predictors)
@@ -51,8 +59,8 @@ from ..uarch.config import MachineConfig
 from ..uarch.pipeline import simulate_trace
 from ..uarch.stats import _MERGE_MAX_FIELDS, PipelineStats
 from ..workloads import build_program
-from .backend import (ExecutionBackend, WorkUnit, register_executor,
-                      resolve_backend)
+from .backend import (ExecutionBackend, InlineBackend, WorkUnit,
+                      register_executor, resolve_backend)
 from .campaign import SweepPoint
 from .events import SegmentEvent
 from .pool import PointResult, SweepResult, resolve_jobs
@@ -91,9 +99,7 @@ class SegmentPolicy:
     One policy object is accepted everywhere a segmented sweep runs —
     :func:`run_segmented_sweep`, :func:`simulate_workload_segmented`,
     :func:`repro.engine.pool.run_sweep`, the experiment runner, the
-    service job spec, and the CLI — replacing the bare
-    ``segment_insns: int`` previously threaded through all of them
-    (plain ints still :meth:`coerce` to a fixed policy).
+    service job spec (as :meth:`to_manifest`), and the CLI.
 
     ``phase_seed`` decorrelates sampled mode's phase across workloads:
     the first detailed segment of each trace is a seeded hash of
@@ -146,27 +152,8 @@ class SegmentPolicy:
                     f"not {self.mode!r}")
 
     # ------------------------------------------------------------------
-    # coercion + serialization
+    # serialization
     # ------------------------------------------------------------------
-
-    @classmethod
-    def coerce(cls, value) -> "SegmentPolicy | None":
-        """Normalize the spellings every entry point accepts.
-
-        ``None`` passes through (meaning: no segmentation / caller
-        default); a bare int is the deprecated ``segment_insns=N``
-        spelling and becomes a fixed policy; dicts go through
-        :meth:`from_manifest`.
-        """
-        if value is None or isinstance(value, cls):
-            return value
-        if isinstance(value, bool):
-            raise TypeError(f"cannot make a SegmentPolicy from {value!r}")
-        if isinstance(value, int):
-            return cls(mode="fixed", segment_insns=value)
-        if isinstance(value, dict):
-            return cls.from_manifest(value)
-        raise TypeError(f"cannot make a SegmentPolicy from {value!r}")
 
     def to_manifest(self) -> dict:
         """JSON-serializable identity (store manifests, job specs)."""
@@ -236,10 +223,15 @@ class SegmentPolicy:
             return 0
         return min(self.warmup_insns, segment_insns)
 
-    def phase_offset(self, workload: str, scale: int) -> int:
-        """First detailed segment index for one trace (seeded)."""
+    def sample_grid(self, workload: str, scale: int) -> tuple[int, int]:
+        """``(period, offset)``: segment *j* of one trace is on the
+        detailed grid when ``j % period == offset`` — every segment in
+        exact modes, a seeded phase offset in sampled mode."""
+        if not self.sampled:
+            return 1, 0
         key = f"{self.phase_seed}:{workload}@{scale}"
-        return zlib.crc32(key.encode()) % self.sample_period
+        return (self.sample_period,
+                zlib.crc32(key.encode()) % self.sample_period)
 
     def detailed_indices(self, num_segments: int, workload: str,
                          scale: int) -> tuple[int, ...]:
@@ -253,13 +245,10 @@ class SegmentPolicy:
         cannot average away (and guarantees even a trace too short to
         hit the grid rests on at least one real sample).
         """
-        if not self.sampled:
-            return tuple(range(num_segments))
-        if num_segments <= 0:
-            return ()
-        offset = self.phase_offset(workload, scale)
-        chosen = set(range(offset, num_segments, self.sample_period))
-        chosen.add(num_segments - 1)
+        period, offset = self.sample_grid(workload, scale)
+        chosen = set(range(offset, num_segments, period))
+        if self.sampled and num_segments > 0:
+            chosen.add(num_segments - 1)
         return tuple(sorted(chosen))
 
 
@@ -302,88 +291,6 @@ def _arith_lengths(total: int, segment_insns: int) -> tuple[int, ...]:
     """
     full, rem = divmod(total, segment_insns)
     return tuple([segment_insns] * full + ([rem] if rem else []))
-
-
-# ----------------------------------------------------------------------
-# planning: emulate (or resume) one workload into segment artifacts
-# ----------------------------------------------------------------------
-
-def plan_segments(workload: str, scale: int, segment_insns: int,
-                  store: ArtifactStore,
-                  max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                  ) -> tuple[SegmentPlan, dict[str, int]]:
-    """Ensure every segment trace of a workload exists in *store*.
-
-    Returns the plan plus counters describing what the call actually
-    did: ``emulated_instructions`` (0 on a fully cached re-run) and
-    ``resumed_at`` (the segment index emulation restarted from, i.e.
-    how much prefix the checkpoints saved).
-
-    The pipelined sweep drivers below no longer call this for their
-    own segments — they stream or chain windows instead — but it
-    remains the way to materialize every segment trace as store
-    artifacts (prewarming, tests, external tools).
-    """
-    if segment_insns <= 0:
-        raise ValueError(f"segment_insns must be > 0, got {segment_insns}")
-    counters = {"emulated_instructions": 0, "resumed_at": 0}
-    manifest = store.load_manifest(workload, scale, segment_insns)
-    if manifest is not None:
-        plan = SegmentPlan.from_manifest(manifest)
-        if all(store.has_segment_trace(workload, scale, segment_insns, i)
-               for i in range(plan.num_segments)):
-            return plan, counters
-        # Some segment got evicted (store gc); fall through and rebuild.
-
-    # Longest contiguous prefix of segment traces already on disk.
-    ready = 0
-    while store.has_segment_trace(workload, scale, segment_insns, ready):
-        ready += 1
-    emulator = Emulator(build_program(workload, scale),
-                        max_instructions=max_instructions)
-    # Resume from the newest checkpoint at or before the first gap
-    # (checkpoint i = architectural state at the start of segment i;
-    # index 0 is the reset state, so it is never stored).
-    resume = ready
-    while resume > 0:
-        state = store.load_checkpoint(workload, scale, segment_insns,
-                                      resume)
-        if state is not None:
-            emulator.restore(state)
-            break
-        resume -= 1
-    counters["resumed_at"] = resume
-    # Segments before the resume point were stored by a previous run,
-    # and only the final segment of a trace can be short — so every
-    # kept prefix segment is exactly segment_insns long.
-    lengths = [segment_insns] * resume
-    index = resume
-    while True:
-        # Packed emulation window: same boundary semantics as pulling
-        # segment_insns entries from iter_trace(), but table-dispatched,
-        # and the stored artifact ships the packed columns directly.
-        segment = emulator.run_packed(segment_insns)
-        if not len(segment):
-            break
-        store.save_segment_trace(workload, scale, segment_insns, index,
-                                 segment)
-        counters["emulated_instructions"] += len(segment)
-        lengths.append(len(segment))
-        index += 1
-        if len(segment) < segment_insns:
-            break  # a short segment means the program halted inside it
-        store.save_checkpoint(workload, scale, segment_insns, index,
-                              emulator.checkpoint())
-    plan = SegmentPlan(workload=workload, scale=scale,
-                       segment_insns=segment_insns, lengths=tuple(lengths))
-    store.save_manifest(workload, scale, segment_insns, plan.to_manifest())
-    store.save_trace_info(workload, scale,
-                          {"instructions": plan.total_instructions})
-    if counters["emulated_instructions"]:
-        TELEMETRY.counter("repro_emu_runs_total").inc()
-        TELEMETRY.counter("repro_emu_instructions_total").inc(
-            counters["emulated_instructions"])
-    return plan, counters
 
 
 # ----------------------------------------------------------------------
@@ -523,6 +430,37 @@ def _window_unit(payload: tuple[str, int, int, int, int], env
             emulator.instruction_count, halted)
 
 
+def _simulate_window(store: ArtifactStore, workload: str, scale: int,
+                     segment_insns: int, index: int, items: list,
+                     warmup: int, load_window) -> list:
+    """One segment's stats for every ``(point_index, config)`` item.
+
+    The cache discipline both simulate units share: exact windows go
+    through the segment-stats cache, while warmup-extended windows
+    (sampled mode) are never persisted — they are not the segment's
+    exact stats.  ``load_window()`` is called at most once, and only if
+    some config misses the cache.  Returns ``[(point_index, index,
+    stats, hit), ...]``.
+    """
+    persist = warmup == 0
+    window = None
+    out = []
+    for point_index, config in items:
+        stats = (store.load_segment_stats(workload, scale, segment_insns,
+                                          index, config)
+                 if persist else None)
+        hit = stats is not None
+        if stats is None:
+            if window is None:
+                window = load_window()
+            stats = simulate_trace(window, config)
+            if persist:
+                store.save_segment_stats(workload, scale, segment_insns,
+                                         index, config, stats)
+        out.append((point_index, index, stats, hit))
+    return out
+
+
 @register_executor("seg-shard")
 def _simulate_shard_unit(payload: tuple, env) -> list:
     """Simulate one segment for every config that needs it.
@@ -530,44 +468,96 @@ def _simulate_shard_unit(payload: tuple, env) -> list:
     ``payload`` is ``(workload, scale, segment_insns, seg_index,
     [(point_index, config), ...], lengths | None, warmup_insns)``; the
     segment window is materialized at most once no matter how many
-    machine variants consume it, and only if some config actually
-    misses the stats cache.  Warmup-extended windows (sampled mode)
-    are never persisted as segment stats — they are not the segment's
-    exact stats.  Returns ``[(point_index, seg_index, stats, hit,
-    window_len), ...]``.
+    machine variants consume it (see :func:`_simulate_window`).
     """
     store = env.store
-    workload, scale, segment_insns, seg_index, items, lengths, warmup = \
-        payload
-    lengths = None if lengths is None else tuple(lengths)
-    persist = warmup == 0
-    out = []
-    window = None
+    workload, scale, segment_insns, index, items, lengths, warmup = payload
     with TELEMETRY.timer("repro_pool_shard_execute_seconds"):
-        for point_index, config in items:
-            stats = (store.load_segment_stats(workload, scale,
-                                              segment_insns, seg_index,
-                                              config)
-                     if persist else None)
-            hit = stats is not None
-            if stats is None:
-                if window is None:
-                    window = _segment_window(store, workload, scale,
-                                             segment_insns, seg_index,
-                                             lengths, warmup)
-                stats = simulate_trace(window, config)
-                if persist:
-                    store.save_segment_stats(workload, scale,
-                                             segment_insns, seg_index,
-                                             config, stats)
-            if window is not None:
-                window_len = len(window)
-            elif lengths is not None:
-                window_len = lengths[seg_index]
+        return _simulate_window(
+            store, workload, scale, segment_insns, index, items, warmup,
+            lambda: _segment_window(store, workload, scale, segment_insns,
+                                    index, lengths, warmup))
+
+
+@register_executor("seg-stream")
+def _stream_unit(payload: tuple, env) -> tuple[int, int, int, list]:
+    """A cold pair in one pass: emulate once, simulate as windows land.
+
+    ``payload`` is ``(workload, scale, policy, jobs, segment_insns |
+    None, [(point_index, config), ...], max_instructions)``.  One
+    emulator walks the trace; each detailed window (warm prefix
+    included) is simulated the moment it materializes, and skipped
+    segments are emulated and discarded.  With no segment size yet
+    (adaptive mode, no trace length stored) one pass both measures the
+    trace and supplies every window.  Writes segment stats only — no
+    segment trace, checkpoint or oracle trace that nothing would read
+    back.  Returns ``(segment_insns, total_instructions,
+    emulated_instructions, [shard rows per simulated segment])``; a
+    detailed segment the stream could not cover (an off-grid final
+    segment under a warm prefix) is left to the planner's shards.
+    """
+    store = env.store
+    workload, scale, policy, jobs, segment_insns, items, \
+        max_instructions = payload
+    emulator = Emulator(build_program(workload, scale),
+                        max_instructions=max_instructions)
+    shards = []
+    if segment_insns is None:
+        # adaptive (every segment detailed, no warm prefix): slice the
+        # windows out of the stored oracle trace or one full emulation
+        trace = store.load_trace(workload, scale)
+        emulated = 0
+        if trace is None:
+            trace = emulator.run_packed()
+            emulated = len(trace)
+        total = len(trace)
+        segment_insns = policy.resolve(total, jobs)
+        for start in range(0, total, segment_insns):
+            window = trace[start:start + segment_insns]
+            shards.append(_simulate_window(
+                store, workload, scale, segment_insns,
+                start // segment_insns, items, 0, lambda: window))
+    else:
+        warmup = policy.effective_warmup(segment_insns)
+        period, offset = policy.sample_grid(workload, scale)
+        pos = j = 0
+        halted = False
+        while not halted:
+            start = j * segment_insns
+            end = start + segment_insns
+            if j % period == offset:
+                # the window absorbs whatever warm prefix the previous
+                # discard chunk deliberately left behind
+                window = emulator.run_packed(end - pos)
+                pos += len(window)
+                halted = pos < end or emulator.halted
+                if pos > start:  # window reaches into segment j
+                    shards.append(_simulate_window(
+                        store, workload, scale, segment_insns, j, items,
+                        warmup, lambda: window))
             else:
-                window_len = segment_insns
-            out.append((point_index, seg_index, stats, hit, window_len))
-    return out
+                stop = end - (warmup if (j + 1) % period == offset else 0)
+                need = stop - pos
+                if need > 0:
+                    chunk = emulator.run_packed(need)
+                    pos += len(chunk)
+                    halted = len(chunk) < need or emulator.halted
+                    if halted and len(chunk) and warmup == 0:
+                        # the program ended inside this discard chunk,
+                        # which therefore IS the final segment — always
+                        # a detailed sample, so simulate it now rather
+                        # than re-deriving it with a second emulation
+                        shards.append(_simulate_window(
+                            store, workload, scale, segment_insns, j,
+                            items, 0, lambda: chunk))
+                else:
+                    halted = emulator.halted
+            j += 1
+        total = emulated = pos
+    if emulated:
+        TELEMETRY.counter("repro_emu_runs_total").inc()
+        TELEMETRY.counter("repro_emu_instructions_total").inc(emulated)
+    return segment_insns, total, emulated, shards
 
 
 # ----------------------------------------------------------------------
@@ -575,8 +565,7 @@ def _simulate_shard_unit(payload: tuple, env) -> list:
 # ----------------------------------------------------------------------
 
 def _extrapolate(plan: SegmentPlan, detailed: tuple[int, ...],
-                 samples: dict[int, PipelineStats],
-                 window_lens: dict[int, int],
+                 samples: dict[int, PipelineStats], warmup: int,
                  ) -> tuple[PipelineStats, dict]:
     """Scale sampled per-segment stats up to the whole trace.
 
@@ -600,6 +589,11 @@ def _extrapolate(plan: SegmentPlan, detailed: tuple[int, ...],
     idx = sorted(detailed)
     observed = PipelineStats.merge_all([samples[i] for i in idx])
     total = plan.total_instructions
+    # each simulated window is its segment plus the warm prefix before
+    # it (only the final segment can be short, so segment i starts at
+    # i * segment_insns) — a function of the plan, whoever simulated it
+    window_lens = {i: min(warmup, i * plan.segment_insns) + plan.lengths[i]
+                   for i in idx}
     window_total = sum(window_lens[i] for i in idx)
     if window_total <= 0 or total <= 0:
         return observed, {"relative_error": 0.0, "half_width": {},
@@ -676,7 +670,7 @@ def _extrapolate(plan: SegmentPlan, detailed: tuple[int, ...],
 
 
 # ----------------------------------------------------------------------
-# the driver: one class, serial (fused streaming) and pool (pipelined)
+# the planner: one driver for every backend
 # ----------------------------------------------------------------------
 
 class _SegmentedRun:
@@ -685,6 +679,9 @@ class _SegmentedRun:
     def __init__(self, points: list[SweepPoint], policy: SegmentPolicy,
                  jobs: int, store_dir: str, progress,
                  max_instructions: int):
+        if not isinstance(policy, SegmentPolicy):
+            raise TypeError(f"segmented simulation needs a SegmentPolicy, "
+                            f"got {policy!r}")
         self.points = points
         self.policy = policy
         self.jobs = jobs
@@ -699,7 +696,6 @@ class _SegmentedRun:
                                   []).append((index, point.config))
         self.plans: dict[tuple[str, int], SegmentPlan] = {}
         self.detailed: dict[tuple[str, int], tuple[int, ...]] = {}
-        self.window_lens: dict[tuple[str, int], dict[int, int]] = {}
         self.partials: list[dict[int, PipelineStats]] = \
             [{} for _ in points]
         self.hits = [0] * len(points)
@@ -723,15 +719,7 @@ class _SegmentedRun:
                 message=message, done=done, total=max(total, done),
                 phase=phase, estimated=self.policy.sampled))
 
-    # -- shared bookkeeping --------------------------------------------
-
-    def _count_emulation(self, instructions: int) -> None:
-        if instructions <= 0:
-            return
-        self.counters["emulations"] += 1
-        self.counters["emulated_instructions"] += instructions
-        TELEMETRY.counter("repro_emu_runs_total").inc()
-        TELEMETRY.counter("repro_emu_instructions_total").inc(instructions)
+    # -- plan bookkeeping ----------------------------------------------
 
     def _save_plan(self, store: ArtifactStore, plan: SegmentPlan) -> None:
         manifest = plan.to_manifest()
@@ -762,236 +750,34 @@ class _SegmentedRun:
                    f"planned {pair[0]}@{pair[1]} "
                    f"({plan.num_segments} segments)")
 
-    def _absorb(self, point_index: int, seg_index: int,
-                stats: PipelineStats, hit: bool) -> None:
-        self.partials[point_index][seg_index] = stats
-        self.counters["segment_stats_hits"] += hit
-        self.counters["segment_simulations"] += not hit
-        self.hits[point_index] += hit
-
-    def _simulate_segment(self, store: ArtifactStore,
-                          pair: tuple[str, int], segment_insns: int,
-                          index: int, window=None, loader=None,
-                          nominal_len: int = 0) -> None:
-        """Serial-path twin of :func:`_simulate_shard` (same cache
-        discipline), taking the window either directly (the streaming
-        emulator just produced it) or as a lazy loader consulted only
-        if some config misses."""
-        workload, scale = pair
-        persist = self.policy.effective_warmup(segment_insns) == 0
-        for point_index, config in self.items[pair]:
-            stats = (store.load_segment_stats(workload, scale,
-                                              segment_insns, index,
-                                              config)
-                     if persist else None)
-            hit = stats is not None
-            if stats is None:
-                if window is None:
-                    window = loader()
-                stats = simulate_trace(window, config)
-                if persist:
-                    store.save_segment_stats(workload, scale,
-                                             segment_insns, index,
-                                             config, stats)
-            self._absorb(point_index, index, stats, hit)
-        self.window_lens.setdefault(pair, {})[index] = \
-            len(window) if window is not None else nominal_len
-        self._done_units += len(self.items[pair])
-        self._emit("simulate", self._done_units, self._total_units,
-                   f"{workload}@{scale} segment {index} "
-                   f"({len(self.items[pair])} configs)")
-
-    def _backfill_missing_detailed(self, store: ArtifactStore,
-                                   pair: tuple[str, int],
-                                   plan: SegmentPlan) -> None:
-        """Simulate any detailed segment the streaming pass did not
-        cover (the short-trace fallback sample, a plan landing after
-        the stream)."""
-        warmup = self.policy.effective_warmup(plan.segment_insns)
-        for index in self.detailed[pair]:
-            if index in self.window_lens.get(pair, {}):
-                continue
-            window_len = (min(warmup, sum(plan.lengths[:index]))
-                          + plan.lengths[index])
-            self._simulate_segment(
-                store, pair, plan.segment_insns, index,
-                loader=lambda index=index: _segment_window(
-                    store, *pair, plan.segment_insns, index,
-                    plan.lengths, warmup, self.max_instructions),
-                nominal_len=window_len)
-
-    # -- serial: fused streaming emulate+simulate ----------------------
-
-    def run_serial(self, store: ArtifactStore | None = None) -> None:
-        if store is None:
-            store = ArtifactStore(self.store_dir)
-        for pair in self.pairs:
-            self._serial_pair(store, pair)
-
-    def _serial_pair(self, store: ArtifactStore,
-                     pair: tuple[str, int]) -> None:
-        workload, scale = pair
-        policy = self.policy
-        segment_insns = None
-        pre_trace = None
-        if policy.mode == "adaptive":
-            info = store.load_trace_info(workload, scale)
-            if info is not None:
-                # resolve against self.jobs (not 1): inline execution
-                # of a jobs=N plan must segment exactly like the pool
-                # would, or backends could not be ledger-equivalent
-                segment_insns = policy.resolve(int(info["instructions"]),
-                                               self.jobs)
-            else:
-                pre_trace = store.load_trace(workload, scale)
-                if pre_trace is not None:
-                    store.save_trace_info(
-                        workload, scale,
-                        {"instructions": len(pre_trace)})
-                    segment_insns = policy.resolve(len(pre_trace),
-                                                   self.jobs)
-        else:
-            segment_insns = policy.segment_insns
-        # Warmup-extended windows are never persisted, so a manifest
-        # hit saves nothing — streaming again is the cheap path.
-        reuse_ok = policy.effective_warmup(segment_insns or 1) == 0
-        if segment_insns is not None and reuse_ok:
-            manifest = store.load_manifest(workload, scale, segment_insns)
-            if manifest is not None:
-                self._serial_warm(store, pair,
-                                  SegmentPlan.from_manifest(manifest))
-                return
-        if (pre_trace is None and segment_insns is not None
-                and policy.mode == "adaptive"):
-            pre_trace = store.load_trace(workload, scale)
-        self._serial_cold(store, pair, segment_insns, pre_trace)
-
-    def _serial_warm(self, store: ArtifactStore, pair: tuple[str, int],
-                     plan: SegmentPlan) -> None:
-        self._finalize_plan(pair, plan)
-        self._backfill_missing_detailed(store, pair, plan)
-
-    def _serial_cold(self, store: ArtifactStore, pair: tuple[str, int],
-                     segment_insns: int | None, pre_trace) -> None:
-        workload, scale = pair
-        policy = self.policy
-        if segment_insns is None:
-            # adaptive with nothing known: one full emulation both
-            # measures the trace and (jobs=1 collapses to a single
-            # segment) IS the only window
-            emulator = Emulator(build_program(workload, scale),
-                                max_instructions=self.max_instructions)
-            pre_trace = emulator.run_packed()
-            self._count_emulation(len(pre_trace))
-            store.save_trace_info(workload, scale,
-                                  {"instructions": len(pre_trace)})
-            segment_insns = policy.resolve(len(pre_trace), self.jobs)
-        if pre_trace is not None:
-            self._serial_from_trace(store, pair, segment_insns, pre_trace)
-            return
-        self._serial_stream(store, pair, segment_insns)
-
-    def _serial_from_trace(self, store: ArtifactStore,
-                           pair: tuple[str, int], segment_insns: int,
-                           trace) -> None:
-        """Windows sliced from an in-memory oracle trace (adaptive
-        jobs=1 always lands here cold: exactly one segment)."""
+    def _emulated_plan(self, store: ArtifactStore, pair: tuple[str, int],
+                       segment_insns: int, total: int,
+                       emulated: int) -> SegmentPlan:
+        """Save and finalize the plan a cold pair's emulation found."""
+        if emulated:
+            self.counters["emulations"] += 1
+            self.counters["emulated_instructions"] += emulated
         plan = SegmentPlan(pair[0], pair[1], segment_insns,
-                           _arith_lengths(len(trace), segment_insns))
-        self._save_plan(store, plan)
-        self._finalize_plan(pair, plan)
-        warmup = self.policy.effective_warmup(segment_insns)
-        start = 0
-        starts = []
-        for length in plan.lengths:
-            starts.append(start)
-            start += length
-        for index in self.detailed[pair]:
-            lo = max(0, starts[index] - warmup)
-            window = trace[lo:starts[index] + plan.lengths[index]]
-            self._simulate_segment(store, pair, segment_insns, index,
-                                   window=window)
-
-    def _serial_stream(self, store: ArtifactStore, pair: tuple[str, int],
-                       segment_insns: int) -> None:
-        """The fused cold path: one streaming emulator, each detailed
-        window simulated the moment it materializes, skipped segments
-        emulated and discarded.  Persists per-segment stats, the
-        manifest, and trace metadata — never whole-trace pickles the
-        simulation does not need."""
-        workload, scale = pair
-        policy = self.policy
-        warmup = policy.effective_warmup(segment_insns)
-        if policy.sampled:
-            offset = policy.phase_offset(workload, scale)
-            period = policy.sample_period
-
-            def detailed(j: int) -> bool:
-                return j % period == offset
-        else:
-            def detailed(j: int) -> bool:
-                return True
-
-        emulator = Emulator(build_program(workload, scale),
-                            max_instructions=self.max_instructions)
-        pos = 0
-        j = 0
-        halted = False
-        simulated: list[int] = []
-        while not halted:
-            start = j * segment_insns
-            end = start + segment_insns
-            if detailed(j):
-                # the window absorbs whatever warm prefix the previous
-                # discard chunk deliberately left behind
-                window = emulator.run_packed(end - pos)
-                pos += len(window)
-                halted = pos < end or emulator.halted
-                if pos > start:  # window reaches into segment j
-                    self._simulate_segment(store, pair, segment_insns, j,
-                                           window=window)
-                    simulated.append(j)
-                del window
-            else:
-                stop = end - (warmup if detailed(j + 1) else 0)
-                need = stop - pos
-                if need > 0:
-                    chunk = emulator.run_packed(need)
-                    pos += len(chunk)
-                    halted = len(chunk) < need or emulator.halted
-                    if halted and len(chunk) and warmup == 0:
-                        # the program ended inside this discard chunk,
-                        # which therefore IS the final segment — always
-                        # a detailed sample, so simulate it now rather
-                        # than re-deriving it with a second emulation
-                        self._simulate_segment(store, pair,
-                                               segment_insns, j,
-                                               window=chunk)
-                    del chunk
-                else:
-                    halted = emulator.halted
-            j += 1
-        total = pos
-        self._count_emulation(total)
-        plan = SegmentPlan(workload, scale, segment_insns,
                            _arith_lengths(total, segment_insns))
         self._save_plan(store, plan)
         self._finalize_plan(pair, plan)
-        # a trace too short to hit the sample grid: fall back exactly
-        # like the warm path does (detailed_indices' last-segment rule)
-        self._backfill_missing_detailed(store, pair, plan)
+        return plan
 
-    # -- parallel: pipelined emulate chain + dispatch-on-land shards ---
+    # -- driving units -------------------------------------------------
 
     def run_units(self, backend: ExecutionBackend) -> None:
         """Drive the whole run as work units on *backend*.
 
-        The planner is backend-agnostic: it submits ``seg-measure`` /
-        ``seg-window`` / ``seg-shard`` units to a private group and
-        absorbs results by ticket, so a process pool and a fleet of
-        socket workers produce identical plans and ledgers.
+        The planner is backend-agnostic: it submits units to a private
+        group and absorbs results by ticket, so inline, pool and
+        socket-worker runs produce identical plans and ledgers.  The
+        one choice the backend makes is how a cold pair is emulated: a
+        serial backend streams it in one ``seg-stream`` unit, a
+        parallel one chains ``seg-window`` units so simulation shards
+        overlap the emulation.
         """
         store = ArtifactStore(self.store_dir)
+        self._stream = backend.parallelism <= 1
         self._pending: dict[int, tuple[str, tuple[str, int]]] = {}
         self._chains: dict[tuple[str, int], dict] = {}
         self._group = backend.group()
@@ -1005,7 +791,17 @@ class _SegmentedRun:
                            or getattr(backend, "store_dir", None)
                            is not None)
         for pair in self.pairs:
-            self._unit_start_pair(store, pair)
+            segment_insns = self.policy.segment_insns
+            if self.policy.mode == "adaptive":
+                info = store.load_trace_info(*pair)
+                # resolve against self.jobs (not 1): inline execution
+                # of a jobs=N plan must segment exactly like the pool
+                # would, or backends could not be ledger-equivalent
+                segment_insns = (
+                    None if info is None else
+                    self.policy.resolve(int(info["instructions"]),
+                                        self.jobs))
+            self._plan_pair(store, pair, segment_insns)
         while self._pending:
             ticket, payload = self._group.wait_any()
             kind, pair = self._pending.pop(ticket)
@@ -1013,6 +809,8 @@ class _SegmentedRun:
                 self._on_measure(store, payload)
             elif kind == "window":
                 self._on_window(store, pair, payload)
+            elif kind == "stream":
+                self._on_stream(store, pair, payload)
             else:
                 self._on_shard(pair, payload)
 
@@ -1022,51 +820,45 @@ class _SegmentedRun:
                                              phase=phase))
         self._pending[ticket] = (kind, pair)
 
-    def _unit_start_pair(self, store: ArtifactStore,
-                         pair: tuple[str, int]) -> None:
+    def _plan_pair(self, store: ArtifactStore, pair: tuple[str, int],
+                   segment_insns: int | None) -> None:
+        """Plan one pair; ``segment_insns=None`` means adaptive mode
+        has no trace length yet."""
         workload, scale = pair
-        if self.policy.mode == "adaptive":
-            info = store.load_trace_info(workload, scale)
-            if info is None:
-                self._submit("measure", pair, "seg-measure",
-                             (workload, scale, self.max_instructions),
-                             "plan")
+        if segment_insns is not None:
+            manifest = store.load_manifest(workload, scale, segment_insns)
+            # warm-prefix windows are never persisted, so such a pair
+            # plans like a cold one: the stream emulates it again in
+            # one pass (it left no checkpoints to re-derive windows
+            # from), and the chain resumes at its last checkpoint
+            warmup = self.policy.effective_warmup(segment_insns)
+            if manifest is not None and not warmup:
+                plan = SegmentPlan.from_manifest(manifest)
+                self._finalize_plan(pair, plan)
+                self._dispatch_planned_shards(pair, plan, set())
                 return
-            segment_insns = self.policy.resolve(
-                int(info["instructions"]), self.jobs)
-        else:
-            segment_insns = self.policy.segment_insns
-        self._unit_plan_pair(store, pair, segment_insns)
-
-    def _on_measure(self, store: ArtifactStore, payload) -> None:
-        workload, scale, total, emulated = payload
-        if emulated:
-            self.counters["emulations"] += 1
-            self.counters["emulated_instructions"] += emulated
-        self._unit_plan_pair(store, (workload, scale),
-                             self.policy.resolve(total, self.jobs))
-
-    def _unit_plan_pair(self, store: ArtifactStore,
-                        pair: tuple[str, int],
-                        segment_insns: int) -> None:
-        workload, scale = pair
-        manifest = store.load_manifest(workload, scale, segment_insns)
-        if manifest is not None:
-            plan = SegmentPlan.from_manifest(manifest)
-            self._finalize_plan(pair, plan)
-            self._dispatch_planned_shards(pair, plan, set())
+            info = store.load_trace_info(workload, scale)
+            if info is not None and store.has_trace(workload, scale):
+                # the oracle trace exists (a flat sweep, a prewarm, or
+                # a measure task deposited it): the plan is pure
+                # arithmetic and every shard just slices the oracle
+                plan = SegmentPlan(workload, scale, segment_insns,
+                                   _arith_lengths(
+                                       int(info["instructions"]),
+                                       segment_insns))
+                self._save_plan(store, plan)
+                self._finalize_plan(pair, plan)
+                self._dispatch_planned_shards(pair, plan, set())
+                return
+        if self._stream:
+            self._submit("stream", pair, "seg-stream",
+                         (workload, scale, self.policy, self.jobs,
+                          segment_insns, self.items[pair],
+                          self.max_instructions), "plan")
             return
-        info = store.load_trace_info(workload, scale)
-        if info is not None and store.has_trace(workload, scale):
-            # the oracle trace exists (a flat sweep, a prewarm, or a
-            # measure task deposited it): the plan is pure arithmetic
-            # and every shard just slices the oracle
-            plan = SegmentPlan(workload, scale, segment_insns,
-                               _arith_lengths(int(info["instructions"]),
-                                              segment_insns))
-            self._save_plan(store, plan)
-            self._finalize_plan(pair, plan)
-            self._dispatch_planned_shards(pair, plan, set())
+        if segment_insns is None:
+            self._submit("measure", pair, "seg-measure",
+                         (workload, scale, self.max_instructions), "plan")
             return
         # cold: chain window tasks through checkpoints, dispatching
         # each detailed segment's shard as soon as its columns land
@@ -1076,10 +868,8 @@ class _SegmentedRun:
             ready += 1
         chain = self._chains[pair] = {
             "segment_insns": segment_insns, "emulated": 0,
-            "dispatched": set(),
-            "warmup": self.policy.effective_warmup(segment_insns),
-            "offset": (self.policy.phase_offset(workload, scale)
-                       if self.policy.sampled else 0),
+            "dispatched": set(), "warmup": warmup,
+            "grid": self.policy.sample_grid(workload, scale),
         }
         for index in range(ready):
             self._maybe_dispatch_landed(pair, chain, index)
@@ -1087,10 +877,23 @@ class _SegmentedRun:
                      (workload, scale, segment_insns, ready,
                       self.max_instructions), "plan")
 
-    def _chain_detailed(self, chain: dict, index: int) -> bool:
-        if not self.policy.sampled:
-            return True
-        return index % self.policy.sample_period == chain["offset"]
+    def _on_measure(self, store: ArtifactStore, payload) -> None:
+        workload, scale, total, emulated = payload
+        if emulated:
+            self.counters["emulations"] += 1
+            self.counters["emulated_instructions"] += emulated
+        self._plan_pair(store, (workload, scale),
+                        self.policy.resolve(total, self.jobs))
+
+    def _on_stream(self, store: ArtifactStore, pair: tuple[str, int],
+                   payload) -> None:
+        segment_insns, total, emulated, shards = payload
+        plan = self._emulated_plan(store, pair, segment_insns, total,
+                                   emulated)
+        for rows in shards:
+            self._on_shard(pair, rows)
+        self._dispatch_planned_shards(pair, plan,
+                                      {rows[0][1] for rows in shards})
 
     def _maybe_dispatch_landed(self, pair: tuple[str, int], chain: dict,
                                index: int) -> None:
@@ -1100,9 +903,10 @@ class _SegmentedRun:
         the finalized plan's offsets, so sampled-with-warmup shards
         wait for the chain to finish.
         """
+        period, offset = chain["grid"]
         if not self._landed_ok:
             return
-        if chain["warmup"] > 0 or not self._chain_detailed(chain, index):
+        if chain["warmup"] > 0 or index % period != offset:
             return
         if index in chain["dispatched"]:
             return
@@ -1125,13 +929,8 @@ class _SegmentedRun:
                          (workload, scale, segment_insns, index + 1,
                           self.max_instructions), "plan")
             return
-        if chain["emulated"]:
-            self.counters["emulations"] += 1
-            self.counters["emulated_instructions"] += chain["emulated"]
-        plan = SegmentPlan(workload, scale, segment_insns,
-                           _arith_lengths(total, segment_insns))
-        self._save_plan(store, plan)
-        self._finalize_plan(pair, plan)
+        plan = self._emulated_plan(store, pair, segment_insns, total,
+                                   chain["emulated"])
         self._dispatch_planned_shards(pair, plan, chain["dispatched"])
 
     def _dispatch_planned_shards(self, pair: tuple[str, int],
@@ -1147,13 +946,14 @@ class _SegmentedRun:
                          "simulate")
 
     def _on_shard(self, pair: tuple[str, int], payload) -> None:
-        for point_index, seg_index, stats, hit, window_len in payload:
-            self._absorb(point_index, seg_index, stats, hit)
-            self.window_lens.setdefault(pair, {})[seg_index] = window_len
+        for point_index, seg_index, stats, hit in payload:
+            self.partials[point_index][seg_index] = stats
+            self.counters["segment_stats_hits"] += hit
+            self.counters["segment_simulations"] += not hit
+            self.hits[point_index] += hit
         self._done_units += len(payload)
-        seg_index = payload[0][1]
         self._emit("simulate", self._done_units, self._total_units,
-                   f"{pair[0]}@{pair[1]} segment {seg_index} "
+                   f"{pair[0]}@{pair[1]} segment {payload[0][1]} "
                    f"({len(payload)} configs)")
 
     # -- reduction -----------------------------------------------------
@@ -1182,8 +982,9 @@ class _SegmentedRun:
                     segments_from_cache=self.hits[index]))
                 continue
             if detailed:
-                stats, bounds = _extrapolate(plan, detailed, samples,
-                                             self.window_lens[pair])
+                stats, bounds = _extrapolate(
+                    plan, detailed, samples,
+                    self.policy.effective_warmup(plan.segment_insns))
             else:
                 stats, bounds = PipelineStats(), {"relative_error": 0.0,
                                                   "half_width": {}}
@@ -1205,58 +1006,43 @@ class _SegmentedRun:
 
 
 # ----------------------------------------------------------------------
-# one point, serially (the runner's segmented path)
+# entry points
 # ----------------------------------------------------------------------
 
 def simulate_workload_segmented(workload: str, config: MachineConfig,
-                                scale: int,
-                                policy: SegmentPolicy | int,
+                                scale: int, policy: SegmentPolicy,
                                 store: ArtifactStore,
                                 max_instructions: int =
                                 DEFAULT_MAX_INSTRUCTIONS) -> PipelineStats:
     """Simulate one workload/config pair under a segment policy.
 
-    Serial counterpart of :func:`run_segmented_sweep` used by the
-    experiment runner; per-segment stats and the plan manifest go
-    through *store* so later sweeps (or re-runs) reuse the work.
-    *policy* accepts a bare int as the deprecated ``segment_insns``
-    spelling.  Sampled policies return the extrapolated estimate
-    (bounds travel on sweep results, not bare stats).
+    The experiment runner's segmented path: a one-point run on the
+    inline backend against *store*, so per-segment stats and the plan
+    manifest persist for later sweeps (or re-runs).  Sampled policies
+    return the extrapolated estimate (bounds travel on sweep results,
+    not bare stats).
     """
-    policy = SegmentPolicy.coerce(policy)
-    if policy is None:
-        raise ValueError("simulate_workload_segmented needs a "
-                         "SegmentPolicy (or segment_insns int)")
     point = SweepPoint(workload=workload, scale=scale, variant="policy",
                        config=config)
     run = _SegmentedRun([point], policy, jobs=1,
                         store_dir=str(store.root), progress=None,
                         max_instructions=max_instructions)
-    run.run_serial(store=store)
+    run.run_units(InlineBackend(store.root))
     return run.reduce()[0].stats
 
 
-# ----------------------------------------------------------------------
-# the sweep entry point
-# ----------------------------------------------------------------------
-
-def run_segmented_sweep(points: list[SweepPoint],
-                        policy: SegmentPolicy | int | None = None,
+def run_segmented_sweep(points: list[SweepPoint], policy: SegmentPolicy,
                         jobs: int | None = 1,
                         store_dir: str | os.PathLike | None = None,
                         progress=None,
                         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                        *, segment_insns: int | None = None,
-                        backend=None) -> SweepResult:
+                        *, backend=None) -> SweepResult:
     """Execute a sweep grid with intra-workload segment parallelism.
 
     Drop-in alternative to :func:`repro.engine.pool.run_sweep` (same
     ``SweepResult`` shape): a single long workload fans out across all
     ``jobs`` workers instead of serializing on one, and the emulate /
-    simulate stages overlap (see the module docstring).  *policy*
-    accepts a :class:`SegmentPolicy`, a bare int (deprecated
-    ``segment_insns`` spelling — still available as a keyword for old
-    call sites), or a policy-manifest dict.
+    simulate stages overlap (see the module docstring).
 
     Artifacts live in the store at *store_dir* — or a run-scoped
     temporary store when omitted — so a re-run against the same store
@@ -1267,12 +1053,6 @@ def run_segmented_sweep(points: list[SweepPoint],
     (``phase="simulate"``); sampled-mode events are flagged
     ``estimated``.
     """
-    if policy is None:
-        policy = segment_insns
-    policy = SegmentPolicy.coerce(policy)
-    if policy is None:
-        raise ValueError("run_segmented_sweep needs a SegmentPolicy "
-                         "(or segment_insns > 0)")
     jobs = resolve_jobs(jobs)
     started = time.perf_counter()
     scratch_dir = None
@@ -1291,13 +1071,7 @@ def run_segmented_sweep(points: list[SweepPoint],
     try:
         run = _SegmentedRun(points, policy, jobs, store_dir, progress,
                             max_instructions)
-        if backend.parallelism <= 1 or not run.pairs:
-            # the fused serial path: byte-identical ledger to the unit
-            # path (same policy resolution against the same jobs), one
-            # streaming emulator instead of chained window units
-            run.run_serial()
-        else:
-            run.run_units(backend)
+        run.run_units(backend)
         return SweepResult(results=run.reduce(), counters=run.counters,
                            elapsed=time.perf_counter() - started,
                            jobs=jobs)

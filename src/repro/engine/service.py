@@ -90,13 +90,14 @@ from .campaign import Campaign, parse_axis, split_workloads
 from .differential import DEFAULT_SEGMENT_INSNS, run_fuzz
 from .events import (Event, JobFailedEvent, JobFinishedEvent,
                      JobStartedEvent, MetricEvent, format_event)
-from .pool import resolve_jobs, run_sweep, set_worker_start_method
+from .pool import resolve_jobs, run_sweep
 from .search import (RUNG_MODES, STRATEGIES, SearchSpace, make_objective,
                      resolve_search_workloads, run_search)
 from .segments import SegmentPolicy, run_segmented_sweep
 from .store import (ArtifactStore, tenant_store_root, tenant_usage,
                     validate_tenant_name)
 from .telemetry import TELEMETRY
+from .workers import set_worker_start_method
 
 JOB_KINDS = ("sweep", "search", "segments", "fuzz")
 
@@ -109,8 +110,7 @@ _SPEC_KEYS = {
     "sweep": _COMMON_KEYS | {"workloads", "suite", "scales", "axes",
                              "optimized", "baseline"},
     "segments": _COMMON_KEYS | {"workloads", "suite", "scales", "axes",
-                                "optimized", "baseline",
-                                "policy", "segment_insns"},
+                                "optimized", "baseline", "policy"},
     "search": _COMMON_KEYS | {"workloads", "suite", "scales", "dims",
                               "strategy", "budget", "objective",
                               "weights", "seed", "rung_insns",
@@ -312,8 +312,7 @@ class Job:
         if self.started_wall is not None:
             summary["started"] = _iso8601(self.started_wall)
         if self.kind == "segments" and "policy" in self.spec:
-            # echo the normalized segment policy, so a client can see
-            # exactly what a deprecated segment_insns spelling became
+            # echo the normalized segment policy, defaults filled in
             summary["policy"] = self.spec["policy"]
         if self.error:
             summary["error"] = self.error
@@ -345,27 +344,18 @@ def _spec_scales(spec: dict) -> list[int]:
 
 
 def _segment_policy_from_spec(spec: dict) -> SegmentPolicy:
-    """The segments job's policy, from either spelling.
+    """The segments job's ``"policy"`` object.
 
-    ``"policy"`` (a :meth:`SegmentPolicy.to_manifest` object — unknown
-    fields inside it are rejected by name) is canonical;
-    ``"segment_insns"`` remains as the pre-policy deprecated spelling.
-    Giving both is ambiguous and rejected.
+    A :meth:`SegmentPolicy.to_manifest` object; unknown fields inside
+    it are rejected by name.
     """
     policy_spec = spec.get("policy")
-    legacy = spec.get("segment_insns")
-    if policy_spec is not None and legacy is not None:
-        raise ValueError("give either policy or the deprecated "
-                         "segment_insns, not both")
-    if policy_spec is not None:
-        if not isinstance(policy_spec, dict):
-            raise ValueError(f"policy must be a JSON object, "
-                             f"got {policy_spec!r}")
-        return SegmentPolicy.from_manifest(policy_spec)
-    if legacy is None:
-        raise ValueError("segments job needs a policy (or the "
-                         "deprecated segment_insns)")
-    return SegmentPolicy(segment_insns=int(legacy))
+    if policy_spec is None:
+        raise ValueError("segments job needs a policy")
+    if not isinstance(policy_spec, dict):
+        raise ValueError(f"policy must be a JSON object, "
+                         f"got {policy_spec!r}")
+    return SegmentPolicy.from_manifest(policy_spec)
 
 
 def _campaign_from_spec(spec: dict) -> Campaign:
@@ -772,13 +762,10 @@ class JobManager:
                 # materialized on the event loop just to validate
                 campaign = _campaign_from_spec(job.spec)
                 if kind == "segments":
-                    policy = _segment_policy_from_spec(job.spec)
                     # normalize: the body and the GET /jobs echo see
-                    # one canonical manifest whichever spelling (new
-                    # policy object or deprecated segment_insns) the
-                    # client used
-                    job.spec.pop("segment_insns", None)
-                    job.spec["policy"] = policy.to_manifest()
+                    # one canonical manifest, defaults filled in
+                    job.spec["policy"] = _segment_policy_from_spec(
+                        job.spec).to_manifest()
                 if campaign.size == 0:
                     raise ValueError("sweep spec names an empty grid")
             elif kind == "search":

@@ -89,8 +89,7 @@ def _prewarm_store_dir() -> str:
 
 def configure(store_dir: str | None = None,
               jobs: int | None = None,
-              segment_insns: int | None = None,
-              segment_policy: SegmentPolicy | dict | int | None = None,
+              segment_policy: SegmentPolicy | None = None,
               backend: ExecutionBackend | str | None = None
               ) -> None:
     """Set the process-wide artifact store and default parallelism.
@@ -99,8 +98,7 @@ def configure(store_dir: str | None = None,
     leaves the default job count untouched; ``segment_policy`` turns
     on segmented simulation under a :class:`SegmentPolicy` (fixed /
     adaptive / sampled — see :mod:`repro.engine.segments`).
-    ``segment_insns`` is the deprecated fixed-mode spelling of the
-    same thing.  ``backend`` pins the execution backend every engine
+    ``backend`` pins the execution backend every engine
     call routes through: ``"inline"``/``"pool"`` by name, or a live
     :class:`~repro.engine.backend.ExecutionBackend` instance (the only
     way to attach socket workers — a ``"workers"`` string has no lease
@@ -112,13 +110,11 @@ def configure(store_dir: str | None = None,
         _store = ArtifactStore(store_dir)
     if jobs is not None:
         _default_jobs = resolve_jobs(jobs)
-    if segment_policy is not None and segment_insns is not None:
-        raise ValueError("give either segment_policy or the deprecated "
-                         "segment_insns, not both")
-    if segment_policy is None:
-        segment_policy = segment_insns
     if segment_policy is not None:
-        _segment_policy = SegmentPolicy.coerce(segment_policy)
+        if not isinstance(segment_policy, SegmentPolicy):
+            raise TypeError(f"segment_policy must be a SegmentPolicy, "
+                            f"got {segment_policy!r}")
+        _segment_policy = segment_policy
     if backend is not None:
         if isinstance(backend, str):
             if backend not in BACKEND_NAMES:
@@ -151,16 +147,6 @@ def default_segment_policy() -> SegmentPolicy | None:
 def default_backend() -> ExecutionBackend | str | None:
     """The configured execution backend (None = auto-pick from jobs)."""
     return _backend
-
-
-def default_segment_insns() -> int | None:
-    """Deprecated: the configured fixed segment size, if any.
-
-    Kept for callers predating :class:`SegmentPolicy`; adaptive-mode
-    policies have no fixed size and report ``None`` here.
-    """
-    return (_segment_policy.segment_insns
-            if _segment_policy is not None else None)
 
 
 def clear_caches(*, detach_store: bool = False) -> None:

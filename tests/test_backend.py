@@ -21,9 +21,10 @@ import pytest
 from repro.engine.backend import (BACKEND_NAMES, PROTOCOL_VERSION,
                                   ExecutionEnv, InlineBackend,
                                   PoolBackend, SocketWorkerBackend,
-                                  WorkUnit, execute_unit,
-                                  parse_host_port, register_executor,
-                                  resolve_backend, run_worker)
+                                  WorkUnit, _recv_frame, _send_frame,
+                                  execute_unit, parse_host_port,
+                                  register_executor, resolve_backend,
+                                  run_worker)
 from repro.engine.campaign import Campaign
 from repro.engine.differential import run_fuzz
 from repro.engine.events import (UnitLeasedEvent, WorkerJoinedEvent,
@@ -36,6 +37,7 @@ from repro.experiments import runner
 
 WORKLOADS = ["synth:ilp@seed=0", "synth:mixed@seed=1"]
 AXES = [("optimizer.enabled", [False, True])]
+FIXED_2000 = SegmentPolicy(segment_insns=2000)
 
 
 @pytest.fixture(autouse=True)
@@ -172,6 +174,64 @@ class TestUnitDispatch:
         with pytest.raises(RuntimeError, match="no pending"):
             InlineBackend().group().wait_any()
 
+    def test_inline_group_runs_units_only_when_drained(self):
+        ran = []
+
+        @register_executor("test-record")
+        def _record(payload, env):
+            ran.append(payload[0])
+            return payload[0]
+
+        group = InlineBackend().group()
+        for n in range(3):
+            group.submit(WorkUnit("test-record", (n,)))
+        # nothing runs at submit: an abandoned group leaves the rest
+        # of its queue unexecuted
+        assert ran == [] and group.pending == 3
+        assert group.wait_any()[1] == 0
+        assert ran == [0] and group.pending == 2
+
+
+class TestFrames:
+    """Length-prefixed lease frames over a real socket pair."""
+
+    def test_multi_megabyte_frame_round_trips(self):
+        message = {"op": "blobs", "payload": bytes(range(256)) * 32768}
+        left, right = socket.socketpair()
+        try:
+            # the 8 MB frame overflows the socket buffer: send from a
+            # thread while this one reads
+            sender = threading.Thread(target=_send_frame,
+                                      args=(left, message))
+            sender.start()
+            assert _recv_frame(right) == message
+            sender.join(timeout=60)
+        finally:
+            left.close()
+            right.close()
+
+    def test_clean_eof_at_frame_edge_is_none(self):
+        left, right = socket.socketpair()
+        left.close()
+        try:
+            assert _recv_frame(right) is None
+        finally:
+            right.close()
+
+    @pytest.mark.parametrize("cut", ["header", "payload"])
+    def test_close_mid_frame_raises(self, cut):
+        payload = pickle.dumps({"op": "ok", "pad": b"x" * 4096})
+        frame = struct.pack(">Q", len(payload)) + payload
+        left, right = socket.socketpair()
+        try:
+            left.sendall(frame[:3] if cut == "header"
+                         else frame[:len(frame) // 2])
+            left.close()
+            with pytest.raises(ConnectionError, match="mid-frame"):
+                _recv_frame(right)
+        finally:
+            right.close()
+
 
 # ----------------------------------------------------------------------
 # the determinism contract, across backends
@@ -192,13 +252,13 @@ class TestBackendParity:
     def test_segmented_fixed_ledgers_match(self, tmp_path,
                                            fleet_factory):
         points = _campaign().points()
-        inline = run_sweep(points, jobs=2, segment_insns=2000,
+        inline = run_sweep(points, jobs=2, segment_policy=FIXED_2000,
                            store_dir=tmp_path / "inline",
                            backend="inline")
-        pool = run_sweep(points, jobs=2, segment_insns=2000,
+        pool = run_sweep(points, jobs=2, segment_policy=FIXED_2000,
                          store_dir=tmp_path / "pool", backend="pool")
         fleet = fleet_factory(2)
-        sockets = run_sweep(points, jobs=2, segment_insns=2000,
+        sockets = run_sweep(points, jobs=2, segment_policy=FIXED_2000,
                             store_dir=fleet.store_dir, backend=fleet)
         assert inline.ledger_json() == pool.ledger_json()
         assert inline.ledger_json() == sockets.ledger_json()

@@ -14,10 +14,12 @@ import pytest
 from repro.engine.campaign import Campaign
 from repro.engine.pool import run_sweep
 from repro.engine.search import SearchSpace, run_search
+from repro.engine.segments import SegmentPolicy
 from repro.experiments import runner
 
 WORKLOADS = ["synth:ilp@seed=0", "synth:mixed@seed=1"]
 AXES = [("optimizer.enabled", [False, True])]
+FIXED_2000 = SegmentPolicy(segment_insns=2000)
 
 
 @pytest.fixture(autouse=True)
@@ -64,10 +66,10 @@ class TestSegmentedDeterminism:
         points = _campaign().points()
         serial = run_sweep(points, jobs=1,
                            store_dir=tmp_path / "serial",
-                           segment_insns=2000)
+                           segment_policy=FIXED_2000)
         parallel = run_sweep(points, jobs=4,
                              store_dir=tmp_path / "parallel",
-                             segment_insns=2000)
+                             segment_policy=FIXED_2000)
         assert serial.ledger_json() == parallel.ledger_json()
 
     def test_segmented_merge_counters_match_flat_run(self, tmp_path):
@@ -75,7 +77,7 @@ class TestSegmentedDeterminism:
         points = _campaign().points()
         flat = run_sweep(points, jobs=1)
         segmented = run_sweep(points, jobs=1, store_dir=tmp_path,
-                              segment_insns=2000)
+                              segment_policy=FIXED_2000)
         for flat_result, seg_result in zip(flat.results,
                                            segmented.results):
             for name in EXACT_MERGE_FIELDS:
@@ -85,15 +87,16 @@ class TestSegmentedDeterminism:
 
 
 class TestSegmentPolicyDeterminism:
-    def test_deprecated_spelling_matches_policy_object(self, tmp_path):
+    def test_manifest_spelling_matches_policy_object(self, tmp_path):
         from repro.engine.segments import SegmentPolicy
         points = _campaign().points()
-        shim = run_sweep(points, jobs=1, store_dir=tmp_path / "a",
-                         segment_insns=2000)
+        manifest = run_sweep(points, jobs=1, store_dir=tmp_path / "a",
+                             segment_policy=SegmentPolicy.from_manifest(
+                                 {"segment_insns": 2000}))
         policy = run_sweep(points, jobs=1, store_dir=tmp_path / "b",
                            segment_policy=SegmentPolicy(
                                segment_insns=2000))
-        assert shim.ledger_json() == policy.ledger_json()
+        assert manifest.ledger_json() == policy.ledger_json()
 
     def test_sampled_ledgers_match_across_jobs(self, tmp_path):
         from repro.engine.segments import SegmentPolicy

@@ -248,6 +248,11 @@ class TestRunSweepIter:
         # the consumed point's artifacts survived the early stop
         assert store.load_stats(first.point.workload, 1, config) \
             is not None
+        # and the inline backend runs a shard only when the planner
+        # drains it, so the second shard was never simulated
+        assert first.point.workload == "mcf"
+        assert not store.has_trace("gcc", 1)
+        assert store.load_stats("gcc", 1, config) is None
 
 
 # ----------------------------------------------------------------------

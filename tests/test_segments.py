@@ -3,8 +3,8 @@
 Covers the full stack introduced for intra-workload sharding: the
 emulator's lazy iteration + checkpoint/restore, the pipeline's
 iterable consumption, ``PipelineStats.merge``, the segment planner's
-store artifacts and resume path, the segmented sweep scheduler, and
-the store's LRU garbage collection.
+store artifacts and checkpoint-resume chain, the segmented sweep
+scheduler, and the store's LRU garbage collection.
 """
 
 import json
@@ -14,11 +14,12 @@ import pytest
 
 from repro.engine.campaign import Campaign, parse_axis
 from repro.engine.pool import run_sweep
-from repro.engine.segments import (SegmentPlan, plan_segments,
+from repro.engine.segments import (SegmentPlan, SegmentPolicy,
                                    run_segmented_sweep,
                                    simulate_workload_segmented)
-from repro.engine.store import (ArtifactStore, manifest_key,
-                                segment_stats_key, segment_trace_key)
+from repro.engine.store import (ArtifactStore, checkpoint_key,
+                                manifest_key, segment_stats_key,
+                                segment_trace_key)
 from repro.experiments import runner
 from repro.functional.emulator import Emulator
 from repro.uarch.config import default_config
@@ -29,6 +30,7 @@ from repro.workloads import build_program, build_trace
 WORKLOAD = "mcf"
 SEG = 4000
 MAX_INSNS = 20_000_000
+FIXED = SegmentPolicy(segment_insns=SEG)
 
 #: Counters that must merge exactly for ANY config: each trace entry is
 #: fetched/retired once across segments regardless of machine state.
@@ -187,14 +189,23 @@ class TestFromDictForwardCompat:
 # planner: segment artifacts, manifests, checkpoint resume
 # ----------------------------------------------------------------------
 
+def pool_plan(store_dir):
+    """Plan mcf through the parallel path's checkpointed window chain."""
+    points = Campaign.from_axes(workloads=[WORKLOAD], scales=[1]).points()
+    sweep = run_segmented_sweep(points, FIXED, jobs=2, store_dir=store_dir,
+                                backend="pool")
+    manifest = ArtifactStore(store_dir).load_manifest(WORKLOAD, 1, SEG)
+    return SegmentPlan.from_manifest(manifest), sweep
+
+
 class TestPlanSegments:
     def test_plan_covers_trace_exactly(self, tmp_path, mcf_trace):
-        store = ArtifactStore(tmp_path)
-        plan, counters = plan_segments(WORKLOAD, 1, SEG, store)
+        plan, sweep = pool_plan(tmp_path)
         assert plan.total_instructions == len(mcf_trace)
         assert all(n == SEG for n in plan.lengths[:-1])
         assert 0 < plan.lengths[-1] <= SEG
-        assert counters["emulated_instructions"] == len(mcf_trace)
+        assert sweep.counters["emulated_instructions"] == len(mcf_trace)
+        store = ArtifactStore(tmp_path)
         stitched = []
         for index in range(plan.num_segments):
             stitched.extend(store.load_segment_trace(WORKLOAD, 1, SEG,
@@ -202,28 +213,31 @@ class TestPlanSegments:
         assert stitched == mcf_trace
 
     def test_replan_serves_from_manifest(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        first, _ = plan_segments(WORKLOAD, 1, SEG, store)
-        again, counters = plan_segments(WORKLOAD, 1, SEG, store)
+        first, _ = pool_plan(tmp_path)
+        again, sweep = pool_plan(tmp_path)
         assert again == first
-        assert counters["emulated_instructions"] == 0
+        assert sweep.counters["emulated_instructions"] == 0
 
     def test_resume_from_checkpoint_skips_prefix(self, tmp_path,
                                                  mcf_trace):
-        store = ArtifactStore(tmp_path)
-        plan, _ = plan_segments(WORKLOAD, 1, SEG, store)
+        plan, first = pool_plan(tmp_path)
         # simulate a killed run: manifest + the tail segments vanish
         kept = 3
-        (store.root / "manifests" /
+        (tmp_path / "manifests" /
          f"{manifest_key(WORKLOAD, 1, SEG)}.json").unlink()
         for index in range(kept, plan.num_segments):
-            (store.root / "segments" /
+            (tmp_path / "segments" /
              f"{segment_trace_key(WORKLOAD, 1, SEG, index)}.pkl").unlink()
-        replanned, counters = plan_segments(WORKLOAD, 1, SEG, store)
+        assert (tmp_path / "checkpoints" /
+                f"{checkpoint_key(WORKLOAD, 1, SEG, kept)}.pkl").exists()
+        replanned, again = pool_plan(tmp_path)
         assert replanned == plan
-        assert counters["resumed_at"] == kept
-        assert counters["emulated_instructions"] == \
+        # the chain restarts at the first missing segment from its
+        # boundary checkpoint: only the tail is emulated again
+        assert again.counters["emulated_instructions"] == \
             len(mcf_trace) - kept * SEG
+        assert again.ledger_json() == first.ledger_json()
+        store = ArtifactStore(tmp_path)
         stitched = []
         for index in range(plan.num_segments):
             stitched.extend(store.load_segment_trace(WORKLOAD, 1, SEG,
@@ -232,7 +246,10 @@ class TestPlanSegments:
 
     def test_rejects_nonpositive_segment_size(self, tmp_path):
         with pytest.raises(ValueError, match="segment_insns"):
-            plan_segments(WORKLOAD, 1, 0, ArtifactStore(tmp_path))
+            run_segmented_sweep(
+                small_points(),
+                SegmentPolicy.from_manifest({"segment_insns": 0}),
+                store_dir=tmp_path)
 
     def test_manifest_round_trip(self):
         plan = SegmentPlan(workload=WORKLOAD, scale=1, segment_insns=SEG,
@@ -247,10 +264,10 @@ class TestPlanSegments:
 class TestSegmentedSweep:
     def test_serial_and_parallel_identical(self, tmp_path):
         points = small_points()
-        serial = run_segmented_sweep(points, SEG, jobs=1,
+        serial = run_segmented_sweep(points, FIXED, jobs=1,
                                      store_dir=tmp_path / "serial")
         ncpu = os.cpu_count() or 1
-        parallel = run_segmented_sweep(points, SEG, jobs=ncpu,
+        parallel = run_segmented_sweep(points, FIXED, jobs=ncpu,
                                        store_dir=tmp_path / "parallel")
         assert [r.stats.to_json() for r in serial.results] == \
             [r.stats.to_json() for r in parallel.results]
@@ -259,10 +276,10 @@ class TestSegmentedSweep:
 
     def test_rerun_is_pure_cache(self, tmp_path):
         points = small_points()
-        first = run_segmented_sweep(points, SEG, jobs=1,
+        first = run_segmented_sweep(points, FIXED, jobs=1,
                                     store_dir=tmp_path)
         assert first.counters["emulations"] == 1
-        again = run_segmented_sweep(points, SEG, jobs=2,
+        again = run_segmented_sweep(points, FIXED, jobs=2,
                                     store_dir=tmp_path)
         assert again.counters["emulations"] == 0
         assert again.counters["segment_simulations"] == 0
@@ -274,13 +291,13 @@ class TestSegmentedSweep:
 
     def test_resume_after_partial_store_loss(self, tmp_path):
         points = small_points()
-        first = run_segmented_sweep(points, SEG, jobs=1, store_dir=tmp_path)
+        first = run_segmented_sweep(points, FIXED, jobs=1, store_dir=tmp_path)
         # evict two specific partial-stats artifacts, as store gc might
         victims = [(0, points[0].config), (2, points[1].config)]
         for seg_index, config in victims:
             key = segment_stats_key(WORKLOAD, 1, SEG, seg_index, config)
             (tmp_path / "stats" / f"{key}.json").unlink()
-        resumed = run_segmented_sweep(points, SEG, jobs=2,
+        resumed = run_segmented_sweep(points, FIXED, jobs=2,
                                       store_dir=tmp_path)
         assert resumed.counters["segment_simulations"] == len(victims)
         assert [r.stats.to_json() for r in first.results] == \
@@ -288,7 +305,7 @@ class TestSegmentedSweep:
 
     def test_matches_monolithic_event_counters(self, tmp_path):
         points = small_points()
-        segmented = run_segmented_sweep(points, SEG, jobs=1,
+        segmented = run_segmented_sweep(points, FIXED, jobs=1,
                                         store_dir=tmp_path)
         mono = run_sweep(points, jobs=1)
         for seg_result, mono_result in zip(segmented.results,
@@ -302,23 +319,23 @@ class TestSegmentedSweep:
 
     def test_point_results_report_segment_cache_hits(self, tmp_path):
         points = small_points()
-        run_segmented_sweep(points, SEG, jobs=1, store_dir=tmp_path)
-        again = run_segmented_sweep(points, SEG, jobs=1,
+        run_segmented_sweep(points, FIXED, jobs=1, store_dir=tmp_path)
+        again = run_segmented_sweep(points, FIXED, jobs=1,
                                     store_dir=tmp_path)
         point = again.to_dict()["points"][0]
         assert point["segments"] > 1
         assert point["segment_cache_hits"] == point["segments"]
 
-    def test_run_sweep_delegates_on_segment_insns(self, tmp_path):
+    def test_run_sweep_delegates_on_segment_policy(self, tmp_path):
         points = small_points()[:1]
         result = run_sweep(points, jobs=1, store_dir=tmp_path,
-                           segment_insns=SEG)
+                           segment_policy=FIXED)
         assert result.counters["segment_insns"] == SEG
         assert result.results[0].segments > 1
 
     def test_works_without_a_store(self):
         points = small_points()[:1]
-        result = run_segmented_sweep(points, SEG, jobs=1)
+        result = run_segmented_sweep(points, FIXED, jobs=1)
         assert result.results[0].stats.retired > 0
 
 
@@ -334,11 +351,11 @@ class TestRunnerSegmented:
         runner.clear_caches(detach_store=True)
 
     def test_run_workload_segmented_path(self, tmp_path):
-        runner.configure(store_dir=tmp_path, segment_insns=SEG)
+        runner.configure(store_dir=tmp_path, segment_policy=FIXED)
         config = default_config()
         stats = runner.run_workload(WORKLOAD, config)
         expected = simulate_workload_segmented(
-            WORKLOAD, config, 1, SEG, ArtifactStore(tmp_path))
+            WORKLOAD, config, 1, FIXED, ArtifactStore(tmp_path))
         assert stats == expected
         # cached under the segmented key, not the monolithic one
         assert runner.run_workload(WORKLOAD, config) is stats
@@ -347,14 +364,15 @@ class TestRunnerSegmented:
         config = default_config()
         runner.configure(store_dir=tmp_path)
         mono = runner.run_workload(WORKLOAD, config)
-        runner.configure(segment_insns=SEG)
+        runner.configure(segment_policy=FIXED)
         segmented = runner.run_workload(WORKLOAD, config)
         assert segmented.retired == mono.retired
         assert segmented.cycles > mono.cycles  # boundary drains
 
     def test_configure_rejects_bad_segment_size(self):
-        with pytest.raises(ValueError, match="segment_insns"):
-            runner.configure(segment_insns=-5)
+        # a bare size is not a policy: entry points take SegmentPolicy
+        with pytest.raises(TypeError, match="SegmentPolicy"):
+            runner.configure(segment_policy=SEG)
 
     def test_sweep_cli_segmented(self, tmp_path, capsys):
         from repro.cli import main
@@ -498,15 +516,17 @@ class TestSegmentPolicy:
         with pytest.raises(ValueError, match="mode"):
             SegmentPolicy(mode="turbo", segment_insns=SEG)
 
-    def test_coerce_accepts_every_spelling(self):
-        from repro.engine.segments import SegmentPolicy
-        assert SegmentPolicy.coerce(None) is None
-        fixed = SegmentPolicy.coerce(SEG)
-        assert fixed.mode == "fixed" and fixed.segment_insns == SEG
+    def test_entry_points_reject_bare_sizes(self, tmp_path):
+        with pytest.raises(TypeError, match="SegmentPolicy"):
+            run_segmented_sweep(small_points(), SEG, store_dir=tmp_path)
+        with pytest.raises(TypeError, match="SegmentPolicy"):
+            simulate_workload_segmented(WORKLOAD, default_config(), 1,
+                                        SEG, ArtifactStore(tmp_path))
+        with pytest.raises(TypeError, match="SegmentPolicy"):
+            run_sweep(small_points(), segment_policy=SEG)
         policy = SegmentPolicy(mode="sampled", segment_insns=SEG,
                                sample_period=3)
-        assert SegmentPolicy.coerce(policy) is policy
-        assert SegmentPolicy.coerce(policy.to_manifest()) == policy
+        assert SegmentPolicy.from_manifest(policy.to_manifest()) == policy
 
     def test_manifest_round_trip(self):
         from repro.engine.segments import SegmentPolicy
@@ -658,6 +678,45 @@ class TestSampledMode:
         assert simulate and all(e.estimated for e in simulate)
         from repro.engine.events import format_event
         assert "~estimated" in format_event(simulate[0])
+
+    def test_sampled_rerun_after_lost_manifest_keeps_ledger(self,
+                                                             tmp_path):
+        # a landed shard whose configs all hit the segment-stats cache
+        # must still weight the short final segment by its real length
+        points = Campaign.from_axes(workloads=[WORKLOAD],
+                                    scales=[1]).points()
+        policy = SegmentPolicy(mode="sampled", segment_insns=1000,
+                               sample_period=3)
+        first = run_segmented_sweep(points, policy, jobs=2,
+                                    store_dir=tmp_path, backend="pool")
+        for manifest in (tmp_path / "manifests").iterdir():
+            manifest.unlink()
+        again = run_segmented_sweep(points, policy, jobs=2,
+                                    store_dir=tmp_path, backend="pool")
+        assert again.counters["segment_simulations"] == 0
+        assert again.ledger_json() == first.ledger_json()
+
+
+class TestSerialStream:
+    """The serial backend streams a cold pair in one ``seg-stream`` unit."""
+
+    @pytest.mark.parametrize("policy", [
+        FIXED, SegmentPolicy(mode="adaptive"),
+        SegmentPolicy(mode="sampled", segment_insns=2000, sample_period=3),
+    ], ids=["fixed", "adaptive", "sampled"])
+    def test_cold_inline_run_stores_only_stats_and_manifests(
+            self, tmp_path, policy):
+        points = Campaign.from_axes(workloads=[WORKLOAD],
+                                    scales=[1]).points()
+        sweep = run_segmented_sweep(points, policy, jobs=1,
+                                    store_dir=tmp_path)
+        assert sweep.counters["emulations"] == 1
+        counts = ArtifactStore(tmp_path).artifact_count()
+        # no oracle trace, segment trace or checkpoint: nothing would
+        # read them back, and writing them would slow every cold job
+        assert counts["traces"] == counts["segments"] \
+            == counts["checkpoints"] == 0
+        assert counts["stats"] > 0 and counts["manifests"] > 0
 
 
 class TestSegmentPolicyCli:

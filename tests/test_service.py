@@ -209,7 +209,7 @@ class TestJobManager:
         # (fork in the multi-threaded server can deadlock a child);
         # results must stay byte-identical to the serial run
         from repro.engine.campaign import Campaign, parse_axis
-        from repro.engine.pool import set_worker_start_method
+        from repro.engine.workers import set_worker_start_method
         spec = {"kind": "sweep", "workloads": ["mcf", "gcc"],
                 "optimized": True, "axes": ["optimizer.vf_delay=0,1"]}
 
@@ -430,15 +430,15 @@ class TestJobManager:
 
 class TestSegmentPolicyJobs:
     def test_policy_is_normalized_and_echoed(self, tmp_path):
-        # the deprecated segment_insns spelling is folded into a
-        # canonical policy manifest at submit; both the job summary
-        # (GET /jobs) and the final result echo the normalized form
+        # the policy object is normalized to its canonical manifest at
+        # submit (defaults filled in); both the job summary (GET /jobs)
+        # and the final result echo the normalized form
         async def scenario():
             manager = JobManager(store_dir=tmp_path)
             try:
                 job = await manager.submit(
                     {"kind": "segments", "workloads": ["art"],
-                     "segment_insns": 2000})
+                     "policy": {"segment_insns": 2000}})
                 summary = job.summary()
                 await manager.wait(job.id)
                 events = [e async for e in manager.events(job.id)]
@@ -485,10 +485,11 @@ class TestSegmentPolicyJobs:
               "policy": {"mode": "fixed", "segment_insns": 1000,
                          "warmpu_insns": 5, "zzz": 1}},
              "unknown segment policy fields ['warmpu_insns', 'zzz']"),
+            # the pre-policy segment_insns spelling is gone: an unknown
+            # key, named like any other typo
             ({"kind": "segments", "workloads": ["art"],
-              "policy": {"segment_insns": 1000},
               "segment_insns": 1000},
-             "not both"),
+             "unknown segments spec keys ['segment_insns']"),
             ({"kind": "segments", "workloads": ["art"]},
              "needs a policy"),
             ({"kind": "search", "workloads": ["art"],

@@ -18,6 +18,7 @@ from repro.engine import pool
 from repro.engine.campaign import Campaign
 from repro.engine.pool import run_sweep
 from repro.engine.search import SearchSpace, run_search
+from repro.engine.segments import SegmentPolicy
 from repro.experiments import runner
 from repro.functional.trace import PackedTrace, TraceEntry
 from repro.uarch.config import default_config
@@ -149,12 +150,14 @@ class TestEngineLedgerParity:
     def test_segmented_sweep_ledger(self, monkeypatch, tmp_path):
         packed = run_sweep(self._points(), jobs=1,
                            store_dir=tmp_path / "packed",
-                           segment_insns=2000).ledger_json()
+                           segment_policy=SegmentPolicy(
+                               segment_insns=2000)).ledger_json()
         runner.clear_caches(detach_store=True)
         self._legacy_build_trace(monkeypatch)
         legacy = run_sweep(self._points(), jobs=1,
                            store_dir=tmp_path / "legacy",
-                           segment_insns=2000).ledger_json()
+                           segment_policy=SegmentPolicy(
+                               segment_insns=2000)).ledger_json()
         assert packed == legacy
 
     def test_search_ledger(self, monkeypatch):
