@@ -1,12 +1,14 @@
 """Golden-stats snapshot regression suite.
 
-Every workload in :data:`GOLDEN_WORKLOADS` is simulated on the
-baseline machine configuration and its full
-:meth:`PipelineStats.to_json` compared against a committed snapshot
-under ``tests/golden/``.  Any behavioural change in the emulator, the
-assembler, a workload kernel, the synthetic generator, or the timing
-model shows up as a counter-level diff here — deliberately strict, so
-unintentional drift cannot hide inside an aggregate.
+Every workload in :data:`GOLDEN_WORKLOADS` is simulated on each
+machine configuration in :data:`GOLDEN_CONFIGS` — the baseline, the
+default optimizer, and Figure 10's deepest bundle limits — and its
+full :meth:`PipelineStats.to_json` compared against a committed
+snapshot ``tests/golden/<workload>.<label>.json``.  Any behavioural
+change in the emulator, the assembler, a workload kernel, the
+synthetic generator, the timing model or the optimizer shows up as a
+counter-level diff here — deliberately strict, so unintentional drift
+cannot hide inside an aggregate.
 
 Refreshing after an *intentional* change::
 
@@ -23,7 +25,7 @@ import pathlib
 
 import pytest
 
-from repro.uarch.config import default_config
+from repro.uarch.config import default_config, optimized_config
 from repro.uarch.pipeline import simulate_trace
 from repro.uarch.stats import PipelineStats
 from repro.workloads import build_trace
@@ -44,21 +46,41 @@ GOLDEN_WORKLOADS = (
     "synth:mixed@seed=0",
 )
 
+#: Snapshot label -> machine configuration.  The optimizer labels pin
+#: the optimizing renamer counter by counter; ``depth3`` also turns on
+#: the intra-bundle chain limits (Figure 10's "3 & 1" point).
+GOLDEN_CONFIGS = {
+    "baseline": default_config(),
+    "optimized": optimized_config(),
+    "depth3": optimized_config(add_depth=3, mem_depth=1),
+}
+OPTIMIZER_LABELS = ("optimized", "depth3")
 
-def golden_path(name: str) -> pathlib.Path:
+
+def golden_path(name: str, label: str = "baseline") -> pathlib.Path:
     safe = name.replace(":", "_").replace("@", "_").replace(",", "_") \
         .replace("=", "-")
-    return GOLDEN_DIR / f"{safe}.baseline.json"
+    return GOLDEN_DIR / f"{safe}.{label}.json"
 
 
-def compute_stats(name: str) -> PipelineStats:
-    return simulate_trace(build_trace(name).trace, default_config())
+def compute_stats(name: str, label: str = "baseline") -> PipelineStats:
+    return simulate_trace(build_trace(name).trace, GOLDEN_CONFIGS[label])
 
 
 @pytest.mark.parametrize("name", GOLDEN_WORKLOADS)
 def test_baseline_stats_match_golden_snapshot(name, update_golden):
-    stats = compute_stats(name)
-    path = golden_path(name)
+    check_snapshot(name, "baseline", update_golden)
+
+
+@pytest.mark.parametrize("name", GOLDEN_WORKLOADS)
+@pytest.mark.parametrize("label", OPTIMIZER_LABELS)
+def test_optimizer_stats_match_golden_snapshot(label, name, update_golden):
+    check_snapshot(name, label, update_golden)
+
+
+def check_snapshot(name: str, label: str, update_golden: bool) -> None:
+    stats = compute_stats(name, label)
+    path = golden_path(name, label)
     if update_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(stats.to_json() + "\n")
@@ -73,14 +95,15 @@ def test_baseline_stats_match_golden_snapshot(name, update_golden):
         diffs = {key: (recorded[key], current[key])
                  for key in recorded
                  if recorded[key] != current.get(key)}
-        pytest.fail(f"{name}: stats drifted from golden snapshot "
-                    f"(recorded, current): {diffs}; if intentional, "
+        pytest.fail(f"{name} ({label}): stats drifted from golden "
+                    f"snapshot (recorded, current): {diffs}; if intentional, "
                     f"refresh with --update-golden")
 
 
 def test_golden_directory_has_no_orphans():
-    """Every committed snapshot corresponds to a listed workload."""
-    expected = {golden_path(name).name for name in GOLDEN_WORKLOADS}
+    """Every committed snapshot names a listed workload and config."""
+    expected = {golden_path(name, label).name
+                for name in GOLDEN_WORKLOADS for label in GOLDEN_CONFIGS}
     actual = {p.name for p in GOLDEN_DIR.glob("*.json")}
     assert actual <= expected, (
         f"orphaned golden snapshots: {sorted(actual - expected)}")

@@ -156,6 +156,36 @@ ptr:    .quad 0x200000
         # data (pointer chase) and is not.
         assert stats.mem_addr_known == 1
 
+    def test_mem_depth_admits_same_bundle_forwarded_base(self):
+        # The first ldq of the final bundle is store-forwarded (a
+        # constant pointer), so the second ldq's base carries a
+        # one-deep MBC chain from the same rename bundle.  Its address
+        # is usable at rename only when mem_depth allows that chain.
+        source = """.data
+ptr:    .space 8
+val:    .quad 5
+.text
+        ldi r1, ptr
+        ldi r2, val
+        stq r2, 0(r1)
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        ldq r3, 0(r1)
+        ldq r4, 0(r3)
+        halt
+"""
+        shallow = run_opt(source, mem_depth=0)
+        deep = run_opt(source, mem_depth=1)
+        assert shallow.loads_removed == deep.loads_removed == 1
+        assert shallow.mem_addr_known == 2
+        assert deep.mem_addr_known == 3
+        assert (shallow.cycles, deep.cycles) == (137, 136)
+
 
 class TestRedundantLoadElimination:
     def test_second_load_removed(self):
