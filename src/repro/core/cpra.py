@@ -3,8 +3,8 @@
 Pure dataflow logic of the rename-stage optimizer, separated from the
 table plumbing for testability.  Given an opcode and its source
 expressions (each already resolved against the RAT symbolic state and
-the known-value table), :func:`transform` decides, exactly as the
-hardware in Section 3.1 does, whether the instruction
+the known-value table), CP/RA decides, exactly as the hardware in
+Section 3.1 does, whether the instruction
 
 * **executes early** — all inputs known and the operation is simple
   (single-cycle), so the rename-stage ALU produces the final value;
@@ -17,6 +17,17 @@ hardware in Section 3.1 does, whether the instruction
 Also implemented here: the paper's minor optimizations — move
 collapsing, strength reduction of multiplies by powers of two into
 shifts, and early branch resolution.
+
+Dispatch is by opcode id.  :data:`HANDLERS` holds one handler per id,
+built once at import; ``lda`` shares the ``add`` handler (its
+displacement is the second source).  A handler takes the two resolved
+sources ``(a, b)`` — ``b`` is None for one-source opcodes — and
+returns a plain tuple ``(kind, value, sym, uses_alu,
+strength_reduced)`` whose ``kind`` is the integer :data:`EARLY`,
+:data:`REWRITTEN` or :data:`PLAIN`.  The renamer calls the table
+directly; :func:`transform` runs the same table and wraps the result
+in an :class:`Outcome`.  Early values always come from the shared ALU
+semantics in :mod:`repro.functional.alu`.
 """
 
 from __future__ import annotations
@@ -25,9 +36,11 @@ import enum
 from collections import namedtuple
 
 from ..functional import alu
-from ..isa.opcodes import BranchCond, Opcode, spec_of
-from . import symbolic
-from .symbolic import SymVal
+from ..isa.opcodes import OP_COND, OPCODE_ID, OPCODES_BY_ID, BranchCond, Opcode
+from .symbolic import SymVal, add_const, const, shift_left
+
+#: Integer outcome kinds returned by the :data:`HANDLERS`.
+EARLY, REWRITTEN, PLAIN = range(3)
 
 
 class Kind(enum.Enum):
@@ -37,6 +50,8 @@ class Kind(enum.Enum):
     REWRITTEN = "rewritten"  # new symbolic value for the destination
     PLAIN = "plain"  # no optimization
 
+
+_KINDS = (Kind.EARLY, Kind.REWRITTEN, Kind.PLAIN)
 
 _OutcomeFields = namedtuple(
     "_OutcomeFields",
@@ -50,8 +65,7 @@ class Outcome(_OutcomeFields):
     ``value`` is the computed result (EARLY); ``sym`` the destination's
     symbolic value (EARLY/REWRITTEN); ``uses_alu`` marks consumption of
     an optimizer ALU (depth accounting); ``strength_reduced`` a
-    multiply converted to a shift.  A named tuple — one is built per
-    renamed integer instruction, so construction cost matters.
+    multiply converted to a shift.
     """
 
     __slots__ = ()
@@ -65,7 +79,126 @@ class Outcome(_OutcomeFields):
         return self[0] is Kind.REWRITTEN
 
 
-_PLAIN = Outcome(kind=Kind.PLAIN)
+_PLAIN = (PLAIN, None, None, False, False)
+
+
+def _plain(a: SymVal, b: SymVal | None) -> tuple:
+    # div/rem and every non-integer opcode: never early (multi-cycle),
+    # no symbolic form.
+    return _PLAIN
+
+
+def _mov(a: SymVal, b: None) -> tuple:
+    if a[0] is None:
+        return (EARLY, a[2], a, False, False)
+    # Move collapsing: copy the producer's symbolic value; pure
+    # wiring, no optimizer ALU consumed.
+    return (REWRITTEN, None, a, False, False)
+
+
+def _make_add(fn):
+    def add(a: SymVal, b: SymVal) -> tuple:
+        if a[0] is None:
+            if b[0] is None:
+                value = fn(a[2], b[2])
+                return (EARLY, value, const(value), True, False)
+            return (REWRITTEN, None, add_const(b, a[2]), True, False)
+        if b[0] is None:
+            return (REWRITTEN, None, add_const(a, b[2]), True, False)
+        return _PLAIN
+    return add
+
+
+def _make_sub(fn):
+    def sub(a: SymVal, b: SymVal) -> tuple:
+        if b[0] is None:
+            if a[0] is None:
+                value = fn(a[2], b[2])
+                return (EARLY, value, const(value), True, False)
+            return (REWRITTEN, None, add_const(a, -b[2]), True, False)
+        # Only sym - const is representable.
+        return _PLAIN
+    return sub
+
+
+def _make_scaled_add(fn, shift: int):
+    def scaled_add(a: SymVal, b: SymVal) -> tuple:
+        if a[0] is None:
+            if b[0] is None:
+                value = fn(a[2], b[2])
+                return (EARLY, value, const(value), True, False)
+            # (const << k) + sym  ->  sym + (const << k)
+            return (REWRITTEN, None,
+                    add_const(b, alu.to_signed64(a[2] << shift)),
+                    True, False)
+        if b[0] is None:
+            shifted = shift_left(a, shift)
+            if shifted is not None:
+                return (REWRITTEN, None, add_const(shifted, b[2]),
+                        True, False)
+        return _PLAIN
+    return scaled_add
+
+
+def _make_shift_left(fn):
+    def shift_left_op(a: SymVal, b: SymVal) -> tuple:
+        if b[0] is None:
+            if a[0] is None:
+                value = fn(a[2], b[2])
+                return (EARLY, value, const(value), True, False)
+            shifted = shift_left(a, b[2] & 0x3F)
+            if shifted is not None:
+                return (REWRITTEN, None, shifted, True, False)
+        return _PLAIN
+    return shift_left_op
+
+
+def _make_multiply(shift_fn):
+    """Strength reduction: multiply by a power of two becomes a shift."""
+    def multiply(a: SymVal, b: SymVal) -> tuple:
+        for multiplier, other in ((a, b), (b, a)):
+            if multiplier[0] is not None:
+                continue
+            factor = multiplier[2]
+            if factor == 0:
+                return (EARLY, 0, const(0), True, True)
+            if factor == 1:
+                if other[0] is None:
+                    return (EARLY, other[2], other, True, True)
+                return (REWRITTEN, None, other, True, True)
+            if factor > 1 and factor & (factor - 1) == 0:
+                shift = factor.bit_length() - 1
+                if other[0] is None:
+                    value = shift_fn(other[2], shift)
+                    return (EARLY, value, const(value), True, True)
+                shifted = shift_left(other, shift)
+                if shifted is not None:
+                    return (REWRITTEN, None, shifted, True, True)
+                # Still executable as a 1-cycle shift even though the
+                # result is not symbolically encodable.
+                return (PLAIN, None, None, False, True)
+        return _PLAIN
+    return multiply
+
+
+def _make_fold(fn):
+    """Ops that fold to a constant but have no symbolic form."""
+    def fold(a: SymVal, b: SymVal) -> tuple:
+        if a[0] is None and b[0] is None:
+            value = fn(a[2], b[2])
+            return (EARLY, value, const(value), True, False)
+        return _PLAIN
+    return fold
+
+
+def _make_unary_fold(fn):
+    def unary_fold(a: SymVal, b: None) -> tuple:
+        if a[0] is None:
+            value = fn(a[2])
+            return (EARLY, value, const(value), True, False)
+        return _PLAIN
+    return unary_fold
+
 
 #: Opcodes that fold to a constant when all sources are constant but
 #: have no symbolic (base << scale) + offset form otherwise.
@@ -74,129 +207,47 @@ _FOLD_ONLY_OPS = frozenset({
     Opcode.SRL, Opcode.SRA,
     Opcode.CMPEQ, Opcode.CMPNE, Opcode.CMPLT, Opcode.CMPLE,
     Opcode.CMPULT, Opcode.CMPULE,
-    Opcode.SEXTB, Opcode.SEXTW, Opcode.SEXTL,
 })
+_UNARY_FOLD_OPS = frozenset({Opcode.SEXTB, Opcode.SEXTW, Opcode.SEXTL})
+
+_add = _make_add(alu.INT_OPS[Opcode.ADD])
 
 
-def _early(opcode: Opcode, values: list[int],
-           strength_reduced: bool = False) -> Outcome:
-    result = alu.evaluate_int(opcode, *values)
-    return Outcome(kind=Kind.EARLY, value=result, sym=symbolic.const(result),
-                   uses_alu=True, strength_reduced=strength_reduced)
+def _handler_for(opcode: Opcode):
+    if opcode is Opcode.ADD or opcode is Opcode.LDA:
+        return _add
+    if opcode is Opcode.SUB:
+        return _make_sub(alu.INT_OPS[opcode])
+    if opcode is Opcode.S4ADD or opcode is Opcode.S8ADD:
+        return _make_scaled_add(alu.INT_OPS[opcode],
+                                2 if opcode is Opcode.S4ADD else 3)
+    if opcode is Opcode.SLL:
+        return _make_shift_left(alu.INT_OPS[opcode])
+    if opcode is Opcode.MUL:
+        return _make_multiply(alu.INT_OPS[Opcode.SLL])
+    if opcode is Opcode.MOV:
+        return _mov
+    if opcode in _FOLD_ONLY_OPS:
+        return _make_fold(alu.INT_OPS[opcode])
+    if opcode in _UNARY_FOLD_OPS:
+        return _make_unary_fold(alu.UNARY_INT_OPS[opcode])
+    return _plain
 
 
-def _rewritten(sym: SymVal, strength_reduced: bool = False) -> Outcome:
-    return Outcome(kind=Kind.REWRITTEN, sym=sym, uses_alu=True,
-                   strength_reduced=strength_reduced)
+#: CP/RA handler per opcode id (see the module docstring).
+HANDLERS = tuple(_handler_for(opcode) for opcode in OPCODES_BY_ID)
 
 
 def transform(opcode: Opcode, srcs: list[SymVal]) -> Outcome:
     """Apply CP/RA to one integer instruction.
 
     *srcs* holds one resolved :class:`SymVal` per source operand
-    (immediates arrive as constants).  ``lda`` must be presented as
-    ``ADD`` with the displacement as the second source.
+    (immediates arrive as constants).  ``lda`` takes the displacement
+    as its second source, exactly like ``add``.
     """
-    if opcode is Opcode.MOV:
-        src = srcs[0]
-        if src.is_const:
-            return Outcome(kind=Kind.EARLY, value=src.const_value,
-                           sym=src, uses_alu=False)
-        # Move collapsing: copy the producer's symbolic value; pure
-        # wiring, no optimizer ALU consumed.
-        return Outcome(kind=Kind.REWRITTEN, sym=src, uses_alu=False)
-
-    if opcode in (Opcode.ADD, Opcode.SUB):
-        return _transform_add_sub(opcode, srcs[0], srcs[1])
-    if opcode in (Opcode.S4ADD, Opcode.S8ADD):
-        shift = 2 if opcode is Opcode.S4ADD else 3
-        return _transform_scaled_add(opcode, srcs[0], srcs[1], shift)
-    if opcode is Opcode.SLL:
-        return _transform_shift_left(srcs[0], srcs[1])
-    if opcode is Opcode.MUL:
-        return _transform_multiply(srcs[0], srcs[1])
-    if opcode in _FOLD_ONLY_OPS:
-        if all(src.is_const for src in srcs):
-            return _early(opcode, [src.const_value for src in srcs])
-        return _PLAIN
-    # div/rem and anything else: never early (multi-cycle), no form.
-    return _PLAIN
-
-
-def _transform_add_sub(opcode: Opcode, a: SymVal, b: SymVal) -> Outcome:
-    if a.is_const and b.is_const:
-        return _early(opcode, [a.const_value, b.const_value])
-    if opcode is Opcode.ADD:
-        if b.is_const:
-            return _rewritten(symbolic.add_const(a, b.const_value))
-        if a.is_const:
-            return _rewritten(symbolic.add_const(b, a.const_value))
-        return _PLAIN
-    # SUB: only sym - const is representable.
-    if b.is_const:
-        return _rewritten(symbolic.add_const(a, -b.const_value))
-    return _PLAIN
-
-
-def _transform_scaled_add(opcode: Opcode, a: SymVal, b: SymVal,
-                          shift: int) -> Outcome:
-    if a.is_const and b.is_const:
-        return _early(opcode, [a.const_value, b.const_value])
-    if a.is_const:
-        # (const << k) + sym  ->  sym + (const << k)
-        return _rewritten(symbolic.add_const(
-            b, alu.to_signed64(a.const_value << shift)))
-    if b.is_const:
-        shifted = symbolic.shift_left(a, shift)
-        if shifted is not None:
-            return _rewritten(symbolic.add_const(shifted, b.const_value))
-    return _PLAIN
-
-
-def _transform_shift_left(a: SymVal, b: SymVal) -> Outcome:
-    if a.is_const and b.is_const:
-        return _early(Opcode.SLL, [a.const_value, b.const_value])
-    if b.is_const:
-        shifted = symbolic.shift_left(a, b.const_value & 0x3F)
-        if shifted is not None:
-            return _rewritten(shifted)
-    return _PLAIN
-
-
-def _transform_multiply(a: SymVal, b: SymVal) -> Outcome:
-    """Strength reduction: multiply by a power of two becomes a shift."""
-    for multiplier, other in ((a, b), (b, a)):
-        if not multiplier.is_const:
-            continue
-        factor = multiplier.const_value
-        if factor == 0:
-            return Outcome(kind=Kind.EARLY, value=0, sym=symbolic.const(0),
-                           uses_alu=True, strength_reduced=True)
-        if factor == 1:
-            if other.is_const:
-                return Outcome(kind=Kind.EARLY, value=other.const_value,
-                               sym=other, uses_alu=True,
-                               strength_reduced=True)
-            return _rewritten(other, strength_reduced=True)
-        if factor > 1 and factor & (factor - 1) == 0:
-            shift = factor.bit_length() - 1
-            if other.is_const:
-                return _early(Opcode.SLL, [other.const_value, shift],
-                              strength_reduced=True)
-            shifted = symbolic.shift_left(other, shift)
-            if shifted is not None:
-                return _rewritten(shifted, strength_reduced=True)
-            # Still executable as a 1-cycle shift even though the
-            # result is not symbolically encodable.
-            return Outcome(kind=Kind.PLAIN, strength_reduced=True)
-    return _PLAIN
-
-
-def resolve_branch(cond: BranchCond, src: SymVal) -> bool | None:
-    """Early branch resolution: the outcome if the source is known."""
-    if not src.is_const:
-        return None
-    return alu.branch_taken(cond, src.const_value)
+    kind, value, sym, uses_alu, reduced = HANDLERS[OPCODE_ID[opcode]](
+        srcs[0], srcs[1] if len(srcs) > 1 else None)
+    return Outcome(_KINDS[kind], value, sym, uses_alu, reduced)
 
 
 def branch_implied_value(opcode: Opcode, taken: bool) -> int | None:
@@ -213,6 +264,19 @@ def branch_implied_value(opcode: Opcode, taken: bool) -> int | None:
     return None
 
 
-def is_simple(opcode: Opcode) -> bool:
-    """True if *opcode* is a single-cycle ('simple') operation."""
-    return spec_of(opcode).simple
+#: Per opcode id: the branch condition's test of a known source value
+#: (None for opcodes without a condition).
+BRANCH_TESTS = tuple(None if cond is None else alu.COND_TESTS[cond]
+                     for cond in OP_COND)
+
+#: Per opcode id: :func:`branch_implied_value` for not taken and taken.
+IMPLIED_VALUES = tuple((branch_implied_value(opcode, False),
+                        branch_implied_value(opcode, True))
+                       for opcode in OPCODES_BY_ID)
+
+
+def resolve_branch(cond: BranchCond, src: SymVal) -> bool | None:
+    """Early branch resolution: the outcome if the source is known."""
+    if src[0] is not None:
+        return None
+    return alu.COND_TESTS[cond](src[2])

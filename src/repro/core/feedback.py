@@ -23,32 +23,42 @@ class ValueFeedbackChannel:
 
     def __init__(self, prf: PhysRegFile, delay: int):
         self._prf = prf
+        self._refcounts = prf.refcounts
+        self._versions = prf.versions
         self._delay = delay
-        # (available_cycle, preg, version, value); completion events are
-        # processed in cycle order, so the deque stays sorted.
-        self._pending: deque[tuple[int, int, int, int]] = deque()
-        # preg -> (version, value)
-        self._known: dict[int, tuple[int, int]] = {}
+        #: The delay line: ``(available_cycle, preg, version, value)``
+        #: per published result.  Completion events are processed in
+        #: cycle order, so the deque stays sorted and ``pending[0]`` is
+        #: the next result to arrive.  Read-only outside this class.
+        self.pending: deque[tuple[int, int, int, int]] = deque()
+        #: The known-value table, ``preg -> (version, value)``.  A key
+        #: means a record exists, not that it is still valid: read
+        #: values through :meth:`lookup`, which checks the version.  A
+        #: record is stale once its register is freed, so whoever
+        #: reallocates the register may delete it.
+        self.known: dict[int, tuple[int, int]] = {}
         self.values_fed_back = 0
         self.values_dropped_dead = 0
 
-    @property
-    def delay(self) -> int:
-        return self._delay
-
     def publish(self, preg: int, value: int, cycle: int) -> None:
-        """An execution unit produced *value* into *preg* at *cycle*."""
-        self._pending.append((cycle + self._delay, preg,
-                              self._prf.version(preg), value))
+        """An execution unit produced *value* into *preg* at *cycle*.
+
+        A register that is already free is not published: its version
+        is the one its next allocation will carry.
+        """
+        if self._refcounts[preg] > 0:
+            self.pending.append((cycle + self._delay, preg,
+                                 self._versions[preg], value))
 
     def drain(self, cycle: int) -> None:
         """Move arrived results into the known-value table."""
-        pending = self._pending
-        prf = self._prf
+        pending = self.pending
+        refcounts = self._refcounts
+        versions = self._versions
         while pending and pending[0][0] <= cycle:
             _, preg, version, value = pending.popleft()
-            if prf.is_live(preg) and prf.version(preg) == version:
-                self._known[preg] = (version, value)
+            if refcounts[preg] > 0 and versions[preg] == version:
+                self.known[preg] = (version, value)
                 self.values_fed_back += 1
             else:
                 # The register was recycled before the value arrived —
@@ -61,18 +71,18 @@ class ValueFeedbackChannel:
         Validates liveness and version so a recycled register never
         reports a stale value.
         """
-        record = self._known.get(preg)
+        record = self.known.get(preg)
         if record is None:
             return None
         version, value = record
-        if not self._prf.is_live(preg) or self._prf.version(preg) != version:
-            del self._known[preg]
+        if self._refcounts[preg] <= 0 or self._versions[preg] != version:
+            del self.known[preg]
             return None
         return value
 
     def record_known(self, preg: int, value: int) -> None:
         """Record a value the optimizer itself computed (early execution)."""
-        self._known[preg] = (self._prf.version(preg), value)
+        self.known[preg] = (self._versions[preg], value)
 
     def known_count(self) -> int:
-        return len(self._known)
+        return len(self.known)

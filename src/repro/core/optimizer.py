@@ -30,21 +30,34 @@ Physical-register lifetimes follow the reference-counting scheme
 (Section 3.1): RAT symbolic bases and MBC entries pin their registers,
 and the optimizer sheds that state under register pressure (dropping a
 hint is always safe).
+
+The rename stage runs once per dynamic instruction, so it is
+table-driven.  :meth:`OptimizingRenamer.rename` indexes a tuple of
+bound handlers by the opcode id's rename kind, and integer ALU
+instructions call CP/RA's per-opcode handler table
+(:data:`repro.core.cpra.HANDLERS`) directly.  The integer registers'
+symbolic state lives in RAT-indexed lists, each source is resolved
+inline in one pass, a plain register's value is an interned per-preg
+:class:`SymVal`, and the configuration flags are read once at
+construction.  Verification is unchanged: every produced value is
+compared with the oracle's, and any raw mismatch goes through the full
+normalized check of :meth:`OptimizingRenamer._verify`.
 """
 
 from __future__ import annotations
 
 from ..functional.alu import to_signed64
 from ..isa.instructions import Imm
-from ..isa.opcodes import (OP_COND, OP_SPEC_BY_ID, OPCODE_ID, OPCODES_BY_ID,
+from ..isa.opcodes import (OP_SPEC_BY_ID, OPCODE_ID, OPCODES_BY_ID,
                            QUEUE_INT, OpClass, Opcode)
-from ..isa.registers import NUM_INT_REGS, is_int_reg, is_zero_reg
+from ..isa.registers import NUM_ARCH_REGS, NUM_INT_REGS, ZERO_REG, is_zero_reg
 from ..uarch.config import MachineConfig
 from ..uarch.dyninstr import DynInstr
 from ..uarch.regfile import OutOfRegisters, PhysRegFile
 from ..uarch.rename import BaselineRenamer
 from ..uarch.stats import PipelineStats
 from . import cpra, symbolic
+from .cpra import BRANCH_TESTS, EARLY, IMPLIED_VALUES, REWRITTEN
 from .feedback import ValueFeedbackChannel
 from .mbc import MemoryBypassCache
 from .symbolic import SymVal
@@ -56,10 +69,10 @@ _INT_COND_BRANCHES = frozenset({
 _PENDING_INSERT = 0
 _PENDING_INVALIDATE = 1
 
-# Handler selection per opcode id, computed once: replaces the
-# enum/spec-attribute if-chain in the rename entry point with one
-# table lookup.  The arm order below mirrors the original chain, so
-# FP conditional branches (fbeq/fbne) and nop land on the plain path.
+# Handler selection per opcode id, computed once: ``rename`` indexes
+# its tuple of bound handlers with it.  The arm order below mirrors
+# the classic if-chain, so FP conditional branches (fbeq/fbne) and nop
+# land on the plain path.
 _RK_BRANCH, _RK_JUMP, _RK_LOAD, _RK_STORE, _RK_INT_ALU, _RK_PLAIN = range(6)
 
 
@@ -86,26 +99,20 @@ _STF_ID = OPCODE_ID[Opcode.STF]
 _BR_ID = OPCODE_ID[Opcode.BR]
 _JSR_ID = OPCODE_ID[Opcode.JSR]
 
-#: Resolved expression for the hardwired-zero registers (shared tuple;
-#: ``_expr_of`` returns it without allocating).
-_ZERO_EXPR = (symbolic.ZERO, 0, 0)
+#: Per architectural register: True unless it is hardwired to zero
+#: (writes to the zero registers allocate nothing).
+_WRITABLE = tuple(not is_zero_reg(arch) for arch in range(NUM_ARCH_REGS))
+
+#: Depth tag of a register no instruction of the current bundle wrote:
+#: ``(bundle id, chained additions, chained memory operations)``.
+_NO_TAG = (-1, 0, 0)
+
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
 
 
 class VerificationError(Exception):
     """The optimizer produced a value that disagrees with the oracle."""
-
-
-class _OptEntry:
-    """Symbolic state of one integer architectural register."""
-
-    __slots__ = ("sym", "sym_ref", "bundle_id", "add_depth", "mem_chain")
-
-    def __init__(self, sym: SymVal):
-        self.sym = sym
-        self.sym_ref: int | None = None  # preg pinned by sym.base
-        self.bundle_id = -1  # bundle that set the depth tags
-        self.add_depth = 0
-        self.mem_chain = 0
 
 
 class OptimizingRenamer(BaselineRenamer):
@@ -113,25 +120,48 @@ class OptimizingRenamer(BaselineRenamer):
 
     def __init__(self, prf: PhysRegFile, config: MachineConfig):
         super().__init__(prf)
+        ocfg = config.optimizer
         self._config = config
-        self._ocfg = config.optimizer
-        self.feedback = ValueFeedbackChannel(prf, self._ocfg.vf_delay)
-        self.mbc = MemoryBypassCache(self._ocfg.mbc_entries, prf)
+        self._ocfg = ocfg
+        # Configuration the handlers test per instruction, read once.
+        self._opt = ocfg.enable_opt
+        self._rle_sf = ocfg.enable_opt and ocfg.enable_rle_sf
+        self._publish = ocfg.enable_feedback
+        self._add_depth = ocfg.add_depth
+        self._mem_depth = ocfg.mem_depth
+        self.feedback = ValueFeedbackChannel(prf, ocfg.vf_delay)
+        self.mbc = MemoryBypassCache(ocfg.mbc_entries, prf)
+        # State owned by other classes, read through the attributes
+        # they document.  Without value feedback no source is ever
+        # folded, so the known-value probe sees an empty table.
+        self._map = self.rat.mapping
+        self._known = self.feedback.known if ocfg.enable_feedback else {}
+        self._fb_pending = self.feedback.pending
+        self._cpra = cpra.HANDLERS
+        self._plains = symbolic.plains(prf.num_regs)
         # Pending MBC writes: applied at the next bundle boundary so no
         # dependence within a rename packet is satisfied by RLE/SF
         # (Section 3.2).  Each pending insert holds a register
         # reference so the base cannot be recycled before commit.
-        self._mbc_pending: list[tuple[int, int, int, SymVal | None, int]] = []
+        # Entries are (kind, addr, size, sym, expected, is_fp).
+        self._mbc_pending: list[tuple[int, int, int, SymVal | None,
+                                      int | float, bool]] = []
         self._pending_refs: list[int] = []
         self._bundle_id = 0
-        # Symbolic state per integer architectural register; starts as
-        # the plain physical mapping.
-        self._entries: list[_OptEntry | None] = [None] * NUM_INT_REGS
+        # Symbolic state per integer architectural register, indexed
+        # like the RAT: the value (starting as the plain physical
+        # mapping), the register its base pins when that is not the
+        # mapping itself, and the depth tag — meaningful only while
+        # its bundle id is the current bundle's.
+        self._syms: list[SymVal] = [symbolic.ZERO] * NUM_INT_REGS
+        self._sym_refs: list[int | None] = [None] * NUM_INT_REGS
+        self._tags: list[tuple[int, int, int]] = [_NO_TAG] * NUM_INT_REGS
         for arch in range(NUM_INT_REGS):
-            if is_zero_reg(arch):
-                continue
-            self._entries[arch] = _OptEntry(
-                symbolic.plain(self.rat.lookup(arch)))
+            if arch != ZERO_REG:
+                self._syms[arch] = self._plains[self._map[arch]]
+        self._handlers = (self._rename_branch, self._rename_jump,
+                          self._rename_load, self._rename_store,
+                          self._rename_int_alu, self._rename_plain)
         # statistics
         self.stat_early = 0
         self.stat_rewritten = 0
@@ -145,17 +175,20 @@ class OptimizingRenamer(BaselineRenamer):
     # ==================================================================
 
     def begin_bundle(self, cycle: int) -> None:
-        if self._ocfg.enable_feedback:
+        pending = self._fb_pending
+        if pending and pending[0][0] <= cycle:
             self.feedback.drain(cycle)
         if self._mbc_pending:
+            mbc = self.mbc
             for kind, addr, size, sym, expected, is_fp in self._mbc_pending:
                 if kind == _PENDING_INSERT:
-                    self.mbc.insert(addr, size, sym, expected, is_fp=is_fp)
+                    mbc.insert(addr, size, sym, expected, is_fp=is_fp)
                 else:
-                    self.mbc.invalidate_overlap(addr, size)
+                    mbc.invalidate_overlap(addr, size)
             self._mbc_pending.clear()
+            release = self._prf.release
             for preg in self._pending_refs:
-                self._prf.release(preg)
+                release(preg)
             self._pending_refs.clear()
         self._bundle_id += 1
 
@@ -165,120 +198,97 @@ class OptimizingRenamer(BaselineRenamer):
 
     def rename(self, di: DynInstr, cycle: int) -> None:
         dst = di.instr.dst
-        if (dst is not None and not is_zero_reg(dst)
+        if (dst is not None and _WRITABLE[dst]
                 and not self._prf.can_allocate()):
             raise OutOfRegisters("no free physical registers")
         di.rename_cycle = cycle
-
-        kind = _RENAME_KIND[di.op]
-        if kind == _RK_INT_ALU:
-            self._rename_int_alu(di)
-        elif kind == _RK_LOAD:
-            self._rename_load(di)
-        elif kind == _RK_BRANCH:
-            self._rename_branch(di)
-        elif kind == _RK_STORE:
-            self._rename_store(di)
-        elif kind == _RK_JUMP:
-            self._rename_jump(di)
-        else:
-            # FP operations, FP branches, nop: plain rename.
-            self._rename_plain(di)
-
-    # ------------------------------------------------------------------
-    # source resolution
-    # ------------------------------------------------------------------
-
-    def _expr_of(self, arch: int) -> tuple[SymVal, int, int]:
-        """Resolved symbolic value + intra-bundle depth tags of *arch*."""
-        if is_zero_reg(arch):
-            return _ZERO_EXPR
-        entry = self._entries[arch]
-        sym = entry.sym
-        if sym[0] is not None and self._ocfg.enable_feedback:
-            known = self.feedback.lookup(sym[0])
-            if known is not None:
-                folded = symbolic.fold(sym, known)
-                self._set_entry_sym(arch, folded)
-                sym = folded
-        if entry.bundle_id == self._bundle_id:
-            return sym, entry.add_depth, entry.mem_chain
-        return sym, 0, 0
-
-    def _source_exprs(self, di: DynInstr) -> tuple[list[SymVal], int, int]:
-        """Resolve all sources; returns (exprs, max_depth, max_mem_chain)."""
-        exprs: list[SymVal] = []
-        depth = 0
-        mem_chain = 0
-        expr_of = self._expr_of
-        for src in di.instr.srcs:
-            if type(src) is Imm:
-                exprs.append(symbolic.const(src.value))
-                continue
-            sym, src_depth, src_chain = expr_of(src.index)
-            exprs.append(sym)
-            if src_depth > depth:
-                depth = src_depth
-            if src_chain > mem_chain:
-                mem_chain = src_chain
-        return exprs, depth, mem_chain
+        self._handlers[_RENAME_KIND[di.op]](di)
 
     # ------------------------------------------------------------------
     # RAT symbolic-state updates
     # ------------------------------------------------------------------
 
-    def _set_entry_sym(self, arch: int, sym: SymVal,
-                       add_depth: int = 0, mem_chain: int = 0) -> None:
+    def _fold(self, arch: int, sym: SymVal) -> SymVal:
+        """*arch*'s value with its base's fed-back value folded in.
+
+        Called only when the base has a known-value record; the
+        channel's lookup still validates the register's liveness and
+        version.  Folding clears the register's depth tag.
+        """
+        value = self.feedback.lookup(sym[0])
+        if value is None:
+            return sym
+        folded = symbolic.fold(sym, value)
+        self._set_sym(arch, folded)
+        return folded
+
+    def _set_sym(self, arch: int, sym: SymVal,
+                 tag: tuple[int, int, int] = _NO_TAG) -> None:
         """Replace the symbolic value of *arch*, managing base pins."""
-        entry = self._entries[arch]
-        mapping = self.rat.lookup(arch)
-        new_ref: int | None = None
-        if sym.base is not None and sym.base != mapping:
-            self._prf.add_ref(sym.base)
-            new_ref = sym.base
-        if entry.sym_ref is not None:
-            self._prf.release(entry.sym_ref)
-        entry.sym = sym
-        entry.sym_ref = new_ref
-        if add_depth or mem_chain:
-            entry.bundle_id = self._bundle_id
-            entry.add_depth = add_depth
-            entry.mem_chain = mem_chain
-        else:
-            entry.bundle_id = -1
-            entry.add_depth = 0
-            entry.mem_chain = 0
+        base = sym[0]
+        new_ref = None
+        if base is not None and base != self._map[arch]:
+            self._prf.add_ref(base)
+            new_ref = base
+        old_ref = self._sym_refs[arch]
+        if old_ref is not None:
+            self._prf.release(old_ref)
+        self._syms[arch] = sym
+        self._sym_refs[arch] = new_ref
+        self._tags[arch] = tag
 
     def _allocate_dst(self, di: DynInstr, sym: SymVal | None,
                       add_depth: int = 0, mem_chain: int = 0) -> int | None:
-        """Allocate the destination register and install its new state."""
-        instr = di.instr
-        if instr.dst is None or is_zero_reg(instr.dst):
+        """Allocate the destination register and install its new state.
+
+        *sym* None (or feedback-only mode) installs the plain new
+        register.
+        """
+        dst = di.instr.dst
+        if dst is None or not _WRITABLE[dst]:
             return None
-        new_preg = self._prf.allocate()
-        di.prev_preg = self.rat.remap(instr.dst, new_preg)
-        di.dst_preg = new_preg
-        if is_int_reg(instr.dst):
-            if sym is None or not self._ocfg.enable_opt:
-                sym = symbolic.plain(new_preg)
-                add_depth = 0
-                mem_chain = 0
-            self._set_entry_sym(instr.dst, sym, add_depth, mem_chain)
-        return new_preg
+        prf = self._prf
+        preg = prf.allocate()
+        # Any known-value record of the register's previous life is
+        # stale; dropping it keeps the probes in the handlers precise.
+        self._known.pop(preg, None)
+        di.prev_preg = self.rat.remap(dst, preg)
+        di.dst_preg = preg
+        if dst >= NUM_INT_REGS:
+            return preg
+        if sym is None or not self._opt:
+            sym = self._plains[preg]
+            ref = None
+            tag = _NO_TAG
+        else:
+            # The new value pins its base unless that is the register
+            # just allocated (which the mapping already holds).
+            ref = sym[0]
+            if ref is not None and ref != preg:
+                prf.add_ref(ref)
+            else:
+                ref = None
+            tag = ((self._bundle_id, add_depth, mem_chain)
+                   if add_depth or mem_chain else _NO_TAG)
+        old_ref = self._sym_refs[dst]
+        if old_ref is not None:
+            prf.release(old_ref)
+        self._syms[dst] = sym
+        self._sym_refs[dst] = ref
+        self._tags[dst] = tag
+        return preg
 
-    def _take_deps(self, di: DynInstr, pregs: list[int]) -> None:
-        for preg in pregs:
-            self._prf.add_ref(preg)
-        di.src_pregs = tuple(pregs)
-
-    def _mapping_deps(self, di: DynInstr) -> list[int]:
-        """Physical mappings of all register sources (the plain path)."""
+    def _take_mapping_deps(self, di: DynInstr) -> None:
+        """Depend on the physical mappings of all register sources."""
+        mapping = self._map
+        add_ref = self._prf.add_ref
         deps = []
         for arch in di.reg_srcs:
-            preg = self.rat.lookup(arch)
+            preg = mapping[arch]
             if preg is not None:
+                add_ref(preg)
                 deps.append(preg)
-        return deps
+        di.src_pregs = tuple(deps)
 
     # ------------------------------------------------------------------
     # verification (Section 4.2: strict expression and value checking)
@@ -286,6 +296,11 @@ class OptimizingRenamer(BaselineRenamer):
 
     def _verify(self, di: DynInstr, produced: int | float,
                 expected: int | float, what: str) -> None:
+        """The full check; handlers call it whenever the raw values differ.
+
+        Raw equality implies equality after normalization, so the
+        handlers' raw comparison skips only checks that would pass.
+        """
         if not self._ocfg.verify:
             return
         if isinstance(produced, int) and isinstance(expected, int):
@@ -302,78 +317,113 @@ class OptimizingRenamer(BaselineRenamer):
 
     def _rename_int_alu(self, di: DynInstr) -> None:
         instr = di.instr
-        opcode = instr.opcode
-        exprs, depth, mem_chain = self._source_exprs(di)
-        if di.op == _LDA_ID:
-            opcode = Opcode.ADD
-            exprs = [exprs[0], symbolic.const(instr.disp)]
-        outcome = cpra.transform(opcode, exprs)
-        if outcome.uses_alu and depth > self._ocfg.add_depth:
+        # Resolve every source in one pass: immediates become
+        # constants; a register's value is folded with its base's
+        # fed-back value when one is recorded; depth tags of this
+        # bundle's producers accumulate into the chain depths.
+        syms = self._syms
+        tags = self._tags
+        known = self._known
+        bundle_id = self._bundle_id
+        depth = 0
+        mem_chain = 0
+        a = b = None
+        for src in instr.srcs:
+            if type(src) is Imm:
+                sym = symbolic.const(src.value)
+            else:
+                arch = src.index
+                sym = syms[arch]
+                if sym[0] in known:
+                    sym = self._fold(arch, sym)
+                tag = tags[arch]
+                if tag[0] == bundle_id:
+                    if tag[1] > depth:
+                        depth = tag[1]
+                    if tag[2] > mem_chain:
+                        mem_chain = tag[2]
+            if a is None:
+                a = sym
+            else:
+                b = sym
+        op = di.op
+        if op == _LDA_ID:
+            b = symbolic.const(instr.disp)
+        kind, value, sym, uses_alu, reduced = self._cpra[op](a, b)
+        if uses_alu and depth > self._add_depth:
             # This transformation would chain one more serial addition
             # onto this cycle's optimizer ALUs than the hardware has.
             self.stat_depth_rejections += 1
-            outcome = cpra.Outcome(kind=cpra.Kind.PLAIN)
-        if not self._ocfg.enable_opt and not outcome.is_early:
+            kind = cpra.PLAIN
+            reduced = False
+        elif kind != EARLY and not self._opt:
             # Feedback-only mode: no symbolic rewriting.
-            outcome = cpra.Outcome(kind=cpra.Kind.PLAIN)
-        if outcome.strength_reduced:
+            kind = cpra.PLAIN
+            reduced = False
+        if reduced:
             self.stat_strength_reductions += 1
             di.sched_class = OpClass.INT_SIMPLE
             di.queue_idx = QUEUE_INT
-        if outcome.is_early:
-            self._verify(di, outcome.value, di.result, "early value")
+        if kind == EARLY:
+            if value != di.result:
+                self._verify(di, value, di.result, "early value")
             di.early = True
-            di.early_value = outcome.value
+            di.early_value = value
             self.stat_early += 1
-            new_depth = depth + 1 if outcome.uses_alu else depth
-            dst = self._allocate_dst(di, outcome.sym, add_depth=new_depth,
-                                     mem_chain=mem_chain)
-            if dst is not None and self._ocfg.enable_opt:
+            if uses_alu:
+                depth += 1
+            dst = self._allocate_dst(di, sym, depth, mem_chain)
+            if dst is not None and self._opt:
                 # Recording the computed value is constant propagation;
                 # in feedback-only mode (Figure 9) the result instead
                 # returns through the normal delayed feedback path.
-                self.feedback.record_known(dst, outcome.value)
+                self.feedback.record_known(dst, value)
             return
-        if outcome.is_rewritten:
+        if kind == REWRITTEN:
             self.stat_rewritten += 1
-            sym = outcome.sym
-            new_depth = depth + 1 if outcome.uses_alu else depth
-            deps = [] if sym.base is None else [sym.base]
-            self._take_deps(di, deps)
-            self._allocate_dst(di, sym, add_depth=new_depth,
-                               mem_chain=mem_chain)
+            if uses_alu:
+                depth += 1
+            base = sym[0]
+            if base is not None:
+                self._prf.add_ref(base)
+                di.src_pregs = (base,)
+            self._allocate_dst(di, sym, depth, mem_chain)
             return
-        self._take_deps(di, self._mapping_deps(di))
+        self._take_mapping_deps(di)
         self._allocate_dst(di, None)
 
     def _rename_branch(self, di: DynInstr) -> None:
-        instr = di.instr
-        cond_reg = instr.srcs[0].index
-        sym, depth, _ = self._expr_of(cond_reg)
-        taken = cpra.resolve_branch(OP_COND[di.op], sym)
-        # The branch test itself is zero-detect logic, not an adder, so
-        # it may consume a value produced by this bundle's last allowed
-        # addition level (hence the +1).
-        if taken is not None and depth <= self._ocfg.add_depth + 1:
-            self._verify(di, int(taken), di.taken,
-                         "early branch direction")
-            di.early = True
-            self.stat_early += 1
-        else:
-            if taken is not None:
+        arch = di.reg_srcs[0]
+        sym = self._syms[arch]
+        if sym[0] in self._known:
+            sym = self._fold(arch, sym)
+        if sym[0] is None:
+            tag = self._tags[arch]
+            depth = tag[1] if tag[0] == self._bundle_id else 0
+            # The branch test itself is zero-detect logic, not an
+            # adder, so it may consume a value produced by this
+            # bundle's last allowed addition level (hence the +1).
+            if depth <= self._add_depth + 1:
+                taken = BRANCH_TESTS[di.op](sym[2])
+                if taken != di.taken:
+                    self._verify(di, int(taken), di.taken,
+                                 "early branch direction")
+                di.early = True
+                self.stat_early += 1
+            else:
                 self.stat_depth_rejections += 1
-            self._take_deps(di, self._mapping_deps(di))
-        if self._ocfg.enable_opt:
-            implied = cpra.branch_implied_value(instr.opcode,
-                                                di.taken == 1)
-            if implied is not None and not is_zero_reg(cond_reg):
-                current = self._entries[cond_reg].sym
-                if not current.is_const:
-                    self._set_entry_sym(cond_reg, symbolic.const(implied))
-                    self.stat_branch_inferences += 1
+                self._take_mapping_deps(di)
+        else:
+            self._take_mapping_deps(di)
+        if self._opt:
+            # The zero registers always resolve to a constant, so they
+            # never take an inferred value.
+            implied = IMPLIED_VALUES[di.op][di.taken == 1]
+            if implied is not None and sym[0] is not None:
+                self._set_sym(arch, symbolic.const(implied))
+                self.stat_branch_inferences += 1
 
     def _rename_jump(self, di: DynInstr) -> None:
-        instr = di.instr
         op = di.op
         if op == _BR_ID:
             di.early = True
@@ -381,64 +431,77 @@ class OptimizingRenamer(BaselineRenamer):
             return
         if op == _JSR_ID:
             # The link value is a decode-time constant.
-            return_pc = instr.pc + 4
-            self._verify(di, return_pc, di.result, "jsr link value")
+            return_pc = di.instr.pc + 4
+            if return_pc != di.result:
+                self._verify(di, return_pc, di.result, "jsr link value")
             di.early = True
             self.stat_early += 1
-            sym = symbolic.const(return_pc) if self._ocfg.enable_opt else None
-            dst = self._allocate_dst(di, sym)
-            if dst is not None and self._ocfg.enable_opt:
+            dst = self._allocate_dst(di, symbolic.const(return_pc))
+            if dst is not None and self._opt:
                 self.feedback.record_known(dst, return_pc)
             return
         # ret / jmp: indirect through an integer register.
-        target_reg = instr.srcs[0].index
-        sym, depth, _ = self._expr_of(target_reg)
-        if sym.is_const and depth <= self._ocfg.add_depth + 1:
-            self._verify(di, sym.const_value, di.next_pc,
-                         "early indirect target")
-            di.early = True
-            self.stat_early += 1
-            return
-        self._take_deps(di, self._mapping_deps(di))
+        arch = di.reg_srcs[0]
+        sym = self._syms[arch]
+        if sym[0] in self._known:
+            sym = self._fold(arch, sym)
+        if sym[0] is None:
+            tag = self._tags[arch]
+            depth = tag[1] if tag[0] == self._bundle_id else 0
+            if depth <= self._add_depth + 1:
+                if sym[2] != di.next_pc:
+                    self._verify(di, sym[2], di.next_pc,
+                                 "early indirect target")
+                di.early = True
+                self.stat_early += 1
+                return
+        self._take_mapping_deps(di)
 
     def _rename_load(self, di: DynInstr) -> None:
-        instr = di.instr
-        base_reg = instr.srcs[0].index
-        base_sym, depth, mem_chain = self._expr_of(base_reg)
-        addr_sym = symbolic.add_const(base_sym, instr.disp)
-        addr_usable = (depth <= self._ocfg.add_depth
-                       and mem_chain <= self._ocfg.mem_depth)
-        if addr_sym.is_const and addr_usable:
-            self._verify(di, addr_sym.const_value, di.addr,
-                         "rename-time load address")
-            di.addr_known = True
-            is_fp_load = di.op == _LDF_ID
-            eligible = (self._ocfg.enable_opt and self._ocfg.enable_rle_sf
-                        and instr.dst is not None
-                        and not is_zero_reg(instr.dst)
-                        and (is_fp_load or is_int_reg(instr.dst)))
-            if eligible:
-                bypassed = (self._try_bypass_fp_load(di) if is_fp_load
-                            else self._try_bypass_load(di))
-                if bypassed:
-                    return
-            # MBC miss (or not eligible): install this load's
-            # destination for future redundant-load elimination.
-            dst = self._allocate_dst(di, None)
-            if eligible and dst is not None:
-                expected = (float(di.result) if is_fp_load
-                            else int(di.result))
-                self._pend_insert(di.addr, di.mem_size,
-                                  symbolic.plain(dst), expected,
-                                  is_fp=is_fp_load)
-            return
+        arch = di.reg_srcs[0]
+        sym = self._syms[arch]
+        if sym[0] in self._known:
+            sym = self._fold(arch, sym)
+        base = sym[0]
+        if base is None:
+            tag = self._tags[arch]
+            if tag[0] != self._bundle_id:
+                tag = _NO_TAG
+            if tag[1] <= self._add_depth and tag[2] <= self._mem_depth:
+                self._rename_known_load(di, sym[2] + di.instr.disp)
+                return
         # Address not available at rename: agen depends on the
         # (possibly reassociated) base register.
-        if self._ocfg.enable_opt and addr_sym.base is not None:
-            self._take_deps(di, [addr_sym.base])
+        if self._opt and base is not None:
+            self._prf.add_ref(base)
+            di.src_pregs = (base,)
         else:
-            self._take_deps(di, self._mapping_deps(di))
+            self._take_mapping_deps(di)
         self._allocate_dst(di, None)
+
+    def _rename_known_load(self, di: DynInstr, addr: int) -> None:
+        """A load whose address is known at rename: try RLE/SF."""
+        if addr > _INT64_MAX or addr < _INT64_MIN:
+            addr = to_signed64(addr)
+        if addr != di.addr:
+            self._verify(di, addr, di.addr, "rename-time load address")
+        di.addr_known = True
+        dst = di.instr.dst
+        is_fp_load = di.op == _LDF_ID
+        eligible = (self._rle_sf and dst is not None and _WRITABLE[dst]
+                    and (is_fp_load or dst < NUM_INT_REGS))
+        if eligible:
+            bypassed = (self._try_bypass_fp_load(di) if is_fp_load
+                        else self._try_bypass_load(di))
+            if bypassed:
+                return
+        # MBC miss (or not eligible): install this load's destination
+        # for future redundant-load elimination.
+        preg = self._allocate_dst(di, None)
+        if eligible and preg is not None:
+            expected = float(di.result) if is_fp_load else int(di.result)
+            self._pend_insert(di.addr, di.mem_size, self._plains[preg],
+                              expected, is_fp_load)
 
     def _try_bypass_load(self, di: DynInstr) -> bool:
         """Attempt RLE/SF; returns True if the load was eliminated."""
@@ -456,36 +519,39 @@ class OptimizingRenamer(BaselineRenamer):
             di.misspec_flush = True
             return False
         sym = line.sym
-        if not sym.is_const and self._ocfg.enable_feedback:
-            known = self.feedback.lookup(sym.base)
-            if known is not None:
-                sym = symbolic.fold(sym, known)
+        base = sym[0]
+        if base in self._known:
+            value = self.feedback.lookup(base)
+            if value is not None:
+                sym = symbolic.fold(sym, value)
+                base = None
         di.removed_load = True
-        if sym.is_const:
-            self._verify(di, sym.const_value, di.result,
-                         "forwarded load value")
+        if base is None:
+            value = sym[2]
+            if value != di.result:
+                self._verify(di, value, di.result, "forwarded load value")
             di.early = True
-            di.early_value = sym.const_value
+            di.early_value = value
             self.stat_early += 1
-            dst = self._allocate_dst(di, sym, mem_chain=1)
+            dst = self._allocate_dst(di, sym, 0, 1)
             if dst is not None:
-                self.feedback.record_known(dst, sym.const_value)
+                self.feedback.record_known(dst, value)
             return True
-        if sym.is_plain:
+        if sym[1] == 0 and sym[2] == 0:
             # The move is optimized away entirely via physical register
             # reuse (the paper's citation [15], Jourdan et al.): the
             # destination architectural register is remapped onto the
             # previous memory operation's register.  No execution at all.
-            self._remap_to_existing(di, sym.base)
-            self._set_entry_sym(di.instr.dst, symbolic.plain(sym.base),
-                                mem_chain=1)
+            self._remap_to_existing(di, base)
+            self._set_sym(di.instr.dst, sym, (self._bundle_id, 0, 1))
             return True
         # Offset/scaled forward: becomes a single-cycle move computing
         # (base << scale) + offset on a simple ALU.
         di.sched_class = OpClass.INT_SIMPLE
         di.queue_idx = QUEUE_INT
-        self._take_deps(di, [sym.base])
-        self._allocate_dst(di, sym, mem_chain=1)
+        self._prf.add_ref(base)
+        di.src_pregs = (base,)
+        self._allocate_dst(di, sym, 0, 1)
         return True
 
     def _remap_to_existing(self, di: DynInstr, preg: int) -> None:
@@ -520,73 +586,87 @@ class OptimizingRenamer(BaselineRenamer):
         return True
 
     def _rename_store(self, di: DynInstr) -> None:
-        instr = di.instr
-        base_reg = instr.srcs[1].index
-        base_sym, depth, mem_chain = self._expr_of(base_reg)
-        addr_sym = symbolic.add_const(base_sym, instr.disp)
-        addr_usable = (depth <= self._ocfg.add_depth
-                       and mem_chain <= self._ocfg.mem_depth)
-        deps: list[int] = []
-        if addr_sym.is_const and addr_usable:
-            self._verify(di, addr_sym.const_value, di.addr,
-                         "rename-time store address")
-            di.addr_known = True
-        elif self._ocfg.enable_opt and addr_sym.base is not None:
-            deps.append(addr_sym.base)
+        data_arch, base_arch = di.reg_srcs
+        mapping = self._map
+        known = self._known
+        sym = self._syms[base_arch]
+        if sym[0] in known:
+            sym = self._fold(base_arch, sym)
+        base = sym[0]
+        deps = []
+        addr_known = False
+        if base is None:
+            tag = self._tags[base_arch]
+            if tag[0] != self._bundle_id:
+                tag = _NO_TAG
+            if tag[1] <= self._add_depth and tag[2] <= self._mem_depth:
+                addr = sym[2] + di.instr.disp
+                if addr > _INT64_MAX or addr < _INT64_MIN:
+                    addr = to_signed64(addr)
+                if addr != di.addr:
+                    self._verify(di, addr, di.addr,
+                                 "rename-time store address")
+                di.addr_known = addr_known = True
+        if addr_known:
+            pass
+        elif self._opt and base is not None:
+            deps.append(base)
         else:
-            mapping = self.rat.lookup(base_reg)
-            if mapping is not None:
-                deps.append(mapping)
+            preg = mapping[base_arch]
+            if preg is not None:
+                deps.append(preg)
         # Data operand: forwarded symbolically into the MBC, but the
         # store unit itself reads the plain physical register unless
         # the data is a known constant.
-        data_src = instr.srcs[0]
         data_sym: SymVal | None = None
-        if is_int_reg(data_src.index):
-            data_sym, _, _ = self._expr_of(data_src.index)
-            if not data_sym.is_const:
-                mapping = self.rat.lookup(data_src.index)
-                if mapping is not None:
-                    deps.append(mapping)
+        if data_arch < NUM_INT_REGS:
+            data_sym = self._syms[data_arch]
+            if data_sym[0] in known:
+                data_sym = self._fold(data_arch, data_sym)
+            if data_sym[0] is not None:
+                deps.append(mapping[data_arch])
         else:
-            mapping = self.rat.lookup(data_src.index)
-            if mapping is not None:
-                deps.append(mapping)
-        self._take_deps(di, deps)
-        if (di.addr_known and self._ocfg.enable_opt
-                and self._ocfg.enable_rle_sf):
-            # The emulator records a store's data value as the row's
-            # result, so ``di.result`` is the store value.
-            if di.op == _STF_ID:
-                # FP store forwarding: record the data register so a
-                # later FP load becomes a register move.
-                mapping = self.rat.lookup(data_src.index)
-                self._pend_insert(di.addr, di.mem_size,
-                                  symbolic.plain(mapping),
-                                  float(di.result), is_fp=True)
-                return
-            if data_sym is None:
-                self._mbc_pending.append(
-                    (_PENDING_INVALIDATE, di.addr, di.mem_size,
-                     None, 0, False))
-                return
-            if data_sym.is_const:
-                self._verify(di, data_sym.const_value,
-                             int(di.result),
-                             "store-forward data value")
-            self._pend_insert(di.addr, di.mem_size, data_sym,
-                              int(di.result))
+            preg = mapping[data_arch]
+            if preg is not None:
+                deps.append(preg)
+        if deps:
+            add_ref = self._prf.add_ref
+            for preg in deps:
+                add_ref(preg)
+            di.src_pregs = tuple(deps)
+        if not (addr_known and self._rle_sf):
+            return
+        # The emulator records a store's data value as the row's
+        # result, so ``di.result`` is the store value.
+        if di.op == _STF_ID:
+            # FP store forwarding: record the data register so a later
+            # FP load becomes a register move.
+            self._pend_insert(di.addr, di.mem_size,
+                              symbolic.plain(mapping[data_arch]),
+                              float(di.result), True)
+            return
+        if data_sym is None:
+            self._mbc_pending.append(
+                (_PENDING_INVALIDATE, di.addr, di.mem_size, None, 0, False))
+            return
+        expected = int(di.result)
+        if data_sym[0] is None and data_sym[2] != expected:
+            self._verify(di, data_sym[2], expected,
+                         "store-forward data value")
+        self._pend_insert(di.addr, di.mem_size, data_sym, expected, False)
 
     def _pend_insert(self, addr: int, size: int, sym: SymVal,
-                     expected: int | float, is_fp: bool = False) -> None:
+                     expected: int | float, is_fp: bool) -> None:
         self._mbc_pending.append(
             (_PENDING_INSERT, addr, size, sym, expected, is_fp))
-        if sym.base is not None:
-            self._prf.add_ref(sym.base)
-            self._pending_refs.append(sym.base)
+        base = sym[0]
+        if base is not None:
+            self._prf.add_ref(base)
+            self._pending_refs.append(base)
 
     def _rename_plain(self, di: DynInstr) -> None:
-        self._take_deps(di, self._mapping_deps(di))
+        if di.reg_srcs:
+            self._take_mapping_deps(di)
         self._allocate_dst(di, None)
 
     # ==================================================================
@@ -594,18 +674,22 @@ class OptimizingRenamer(BaselineRenamer):
     # ==================================================================
 
     def on_complete(self, di: DynInstr, cycle: int) -> None:
-        for preg in di.src_pregs:
-            self._prf.release(preg)
-        if di.dst_preg is None or not self._ocfg.enable_feedback:
+        src_pregs = di.src_pregs
+        if src_pregs:
+            release = self._prf.release
+            for preg in src_pregs:
+                release(preg)
+        preg = di.dst_preg
+        if preg is None or not self._publish:
             return
         result = di.result
-        if (isinstance(result, int) and is_int_reg(di.instr.dst)
-                and self._prf.is_live(di.dst_preg)):
-            self.feedback.publish(di.dst_preg, to_signed64(result), cycle)
+        if isinstance(result, int) and di.instr.dst < NUM_INT_REGS:
+            if result > _INT64_MAX or result < _INT64_MIN:
+                result = to_signed64(result)
+            self.feedback.publish(preg, result, cycle)
 
     def on_store_executed(self, di: DynInstr) -> None:
-        if (di.addr_known and self._ocfg.enable_opt
-                and self._ocfg.enable_rle_sf):
+        if di.addr_known and self._rle_sf:
             # The MBC was already updated with this store at rename.
             return
         self.mbc.invalidate_overlap(di.addr, di.mem_size)
@@ -618,10 +702,9 @@ class OptimizingRenamer(BaselineRenamer):
         if self._prf.num_free > 0:
             return True
         for arch in range(NUM_INT_REGS):
-            entry = self._entries[arch]
-            if entry is None or entry.sym_ref is None:
+            if self._sym_refs[arch] is None:
                 continue
-            self._set_entry_sym(arch, symbolic.plain(self.rat.lookup(arch)))
+            self._set_sym(arch, self._plains[self._map[arch]])
             if self._prf.num_free > 0:
                 return True
         return False

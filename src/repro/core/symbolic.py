@@ -18,6 +18,7 @@ field validation.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 from ..functional.alu import to_signed64
@@ -103,6 +104,16 @@ def const(value: int) -> SymVal:
 def plain(preg: int) -> SymVal:
     """The value of physical register *preg*, unmodified."""
     return _tuple_new(SymVal, (preg, 0, 0))
+
+
+@functools.cache
+def plains(num_regs: int) -> tuple[SymVal, ...]:
+    """Interned :func:`plain` values of registers ``0 .. num_regs-1``.
+
+    The optimizing renamer installs one for every allocated register;
+    indexing this tuple allocates nothing.
+    """
+    return tuple(plain(preg) for preg in range(num_regs))
 
 
 def add_const(sym: SymVal, value: int) -> SymVal:

@@ -36,8 +36,11 @@ class PhysRegFile:
 
     def __init__(self, num_regs: int):
         self._num_regs = num_regs
-        self._refcount = [0] * num_regs
-        self._version = [0] * num_regs
+        #: Reference count and allocation version per register.  Hot
+        #: readers (the value-feedback channel) may index these lists
+        #: directly; only this class changes them.
+        self.refcounts = [0] * num_regs
+        self.versions = [0] * num_regs
         self._ready = [False] * num_regs
         self._value: list[int | float | None] = [None] * num_regs
         self._free: deque[int] = deque(range(num_regs))
@@ -69,7 +72,7 @@ class PhysRegFile:
             self.allocation_stalls += 1
             raise OutOfRegisters("physical register file exhausted")
         preg = self._free.popleft()
-        self._refcount[preg] = 1
+        self.refcounts[preg] = 1
         self._ready[preg] = False
         self._value[preg] = None
         in_use = self._num_regs - len(self._free)
@@ -79,32 +82,32 @@ class PhysRegFile:
 
     def add_ref(self, preg: int) -> None:
         """Add one reference to *preg* (must be live)."""
-        if self._refcount[preg] <= 0:
+        if self.refcounts[preg] <= 0:
             raise ValueError(f"add_ref on free register p{preg}")
-        self._refcount[preg] += 1
+        self.refcounts[preg] += 1
 
     def release(self, preg: int) -> None:
         """Drop one reference; frees the register at zero."""
-        count = self._refcount[preg] - 1
+        count = self.refcounts[preg] - 1
         if count < 0:
             raise ValueError(f"release of already-free register p{preg}")
-        self._refcount[preg] = count
+        self.refcounts[preg] = count
         if count == 0:
-            self._version[preg] += 1
+            self.versions[preg] += 1
             self._ready[preg] = False
             self._value[preg] = None
             self._free.append(preg)
 
     def is_live(self, preg: int) -> bool:
         """True while *preg* holds at least one reference."""
-        return self._refcount[preg] > 0
+        return self.refcounts[preg] > 0
 
     def refcount(self, preg: int) -> int:
-        return self._refcount[preg]
+        return self.refcounts[preg]
 
     def version(self, preg: int) -> int:
         """Current allocation version of *preg* (bumps on free)."""
-        return self._version[preg]
+        return self.versions[preg]
 
     # ------------------------------------------------------------------
     # value/readiness tracking (writeback and early execution)

@@ -58,7 +58,10 @@ class ArchRAT:
 
     def __init__(self, prf: PhysRegFile):
         self._prf = prf
-        self._map: list[int | None] = [None] * NUM_ARCH_REGS
+        #: ``mapping[arch]`` is the current physical register of
+        #: *arch* (None for the zero registers).  Hot callers may read
+        #: it directly; every change goes through :meth:`remap`.
+        self.mapping: list[int | None] = [None] * NUM_ARCH_REGS
         for arch in range(NUM_ARCH_REGS):
             if is_zero_reg(arch):
                 continue
@@ -71,16 +74,16 @@ class ArchRAT:
             else:
                 value = 0
             prf.mark_ready(preg, value)
-            self._map[arch] = preg
+            self.mapping[arch] = preg
 
     def lookup(self, arch: int) -> int | None:
         """Current physical mapping of *arch* (None for zero registers)."""
-        return self._map[arch]
+        return self.mapping[arch]
 
     def remap(self, arch: int, preg: int) -> int:
         """Point *arch* at *preg*; returns the previous mapping."""
-        previous = self._map[arch]
-        self._map[arch] = preg
+        previous = self.mapping[arch]
+        self.mapping[arch] = preg
         return previous
 
 

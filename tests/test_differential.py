@@ -96,25 +96,28 @@ class TestHarnessCanFail:
     """A differential harness must be able to detect disagreement."""
 
     def test_broken_optimizer_is_caught(self, monkeypatch):
-        # Corrupt the CP/RA transform's early-executed ADD results by
+        # Corrupt the CP/RA handler's early-executed ADD results by
         # one: the oracle trace stays correct, so the optimizer now
         # fabricates values and the harness must report it (the strict
         # verifier raises, which the harness records as a finding).
+        # The renamer dispatches through cpra.HANDLERS, so the fault
+        # goes into the table slots ADD (and LDA, which shares its
+        # handler) occupy.
         from repro.core import cpra, symbolic
-        from repro.isa.opcodes import Opcode
+        from repro.isa.opcodes import OPCODE_ID, Opcode
 
-        real = cpra.transform
+        real = cpra.HANDLERS[OPCODE_ID[Opcode.ADD]]
 
-        def corrupt(opcode, srcs):
-            outcome = real(opcode, srcs)
-            if (opcode is Opcode.ADD and outcome.is_early
-                    and outcome.value is not None):
-                return outcome._replace(
-                    value=outcome.value + 1,
-                    sym=symbolic.const(outcome.value + 1))
-            return outcome
+        def corrupt(a, b):
+            kind, value, sym, uses_alu, reduced = real(a, b)
+            if kind == cpra.EARLY and value is not None:
+                value += 1
+                sym = symbolic.const(value)
+            return kind, value, sym, uses_alu, reduced
 
-        monkeypatch.setattr(cpra, "transform", corrupt)
+        monkeypatch.setattr(cpra, "HANDLERS", tuple(
+            corrupt if handler is real else handler
+            for handler in cpra.HANDLERS))
         report = check_workload("synth:ilp@seed=0")
         assert not report.ok
         failed = {c.name for c in report.failures}
