@@ -247,35 +247,20 @@ class OptimizingRenamer(BaselineRenamer):
         dst = di.instr.dst
         if dst is None or not _WRITABLE[dst]:
             return None
-        prf = self._prf
-        preg = prf.allocate()
+        preg = self._prf.allocate()
         # Any known-value record of the register's previous life is
         # stale; dropping it keeps the probes in the handlers precise.
         self._known.pop(preg, None)
         di.prev_preg = self.rat.remap(dst, preg)
         di.dst_preg = preg
-        if dst >= NUM_INT_REGS:
-            return preg
-        if sym is None or not self._opt:
-            sym = self._plains[preg]
-            ref = None
-            tag = _NO_TAG
-        else:
-            # The new value pins its base unless that is the register
-            # just allocated (which the mapping already holds).
-            ref = sym[0]
-            if ref is not None and ref != preg:
-                prf.add_ref(ref)
+        if dst < NUM_INT_REGS:
+            if sym is None or not self._opt:
+                self._set_sym(dst, self._plains[preg])
+            elif add_depth or mem_chain:
+                self._set_sym(dst, sym,
+                              (self._bundle_id, add_depth, mem_chain))
             else:
-                ref = None
-            tag = ((self._bundle_id, add_depth, mem_chain)
-                   if add_depth or mem_chain else _NO_TAG)
-        old_ref = self._sym_refs[dst]
-        if old_ref is not None:
-            prf.release(old_ref)
-        self._syms[dst] = sym
-        self._sym_refs[dst] = ref
-        self._tags[dst] = tag
+                self._set_sym(dst, sym)
         return preg
 
     def _take_mapping_deps(self, di: DynInstr) -> None:
