@@ -83,8 +83,7 @@ _PLAIN = (PLAIN, None, None, False, False)
 
 
 def _plain(a: SymVal, b: SymVal | None) -> tuple:
-    # div/rem and every non-integer opcode: never early (multi-cycle),
-    # no symbolic form.
+    # Never early (multi-cycle) and no symbolic form.
     return _PLAIN
 
 
@@ -96,29 +95,30 @@ def _mov(a: SymVal, b: None) -> tuple:
     return (REWRITTEN, None, a, False, False)
 
 
-def _make_add(fn):
-    def add(a: SymVal, b: SymVal) -> tuple:
+_ALU_ADD = alu.INT_OPS[Opcode.ADD]
+_ALU_SUB = alu.INT_OPS[Opcode.SUB]
+_ALU_SLL = alu.INT_OPS[Opcode.SLL]
+
+
+def _add(a: SymVal, b: SymVal) -> tuple:
+    if a[0] is None:
+        if b[0] is None:
+            value = _ALU_ADD(a[2], b[2])
+            return (EARLY, value, const(value), True, False)
+        return (REWRITTEN, None, add_const(b, a[2]), True, False)
+    if b[0] is None:
+        return (REWRITTEN, None, add_const(a, b[2]), True, False)
+    return _PLAIN
+
+
+def _sub(a: SymVal, b: SymVal) -> tuple:
+    if b[0] is None:
         if a[0] is None:
-            if b[0] is None:
-                value = fn(a[2], b[2])
-                return (EARLY, value, const(value), True, False)
-            return (REWRITTEN, None, add_const(b, a[2]), True, False)
-        if b[0] is None:
-            return (REWRITTEN, None, add_const(a, b[2]), True, False)
-        return _PLAIN
-    return add
-
-
-def _make_sub(fn):
-    def sub(a: SymVal, b: SymVal) -> tuple:
-        if b[0] is None:
-            if a[0] is None:
-                value = fn(a[2], b[2])
-                return (EARLY, value, const(value), True, False)
-            return (REWRITTEN, None, add_const(a, -b[2]), True, False)
-        # Only sym - const is representable.
-        return _PLAIN
-    return sub
+            value = _ALU_SUB(a[2], b[2])
+            return (EARLY, value, const(value), True, False)
+        return (REWRITTEN, None, add_const(a, -b[2]), True, False)
+    # Only sym - const is representable.
+    return _PLAIN
 
 
 def _make_scaled_add(fn, shift: int):
@@ -140,45 +140,41 @@ def _make_scaled_add(fn, shift: int):
     return scaled_add
 
 
-def _make_shift_left(fn):
-    def shift_left_op(a: SymVal, b: SymVal) -> tuple:
-        if b[0] is None:
-            if a[0] is None:
-                value = fn(a[2], b[2])
-                return (EARLY, value, const(value), True, False)
-            shifted = shift_left(a, b[2] & 0x3F)
-            if shifted is not None:
-                return (REWRITTEN, None, shifted, True, False)
-        return _PLAIN
-    return shift_left_op
+def _shift_left(a: SymVal, b: SymVal) -> tuple:
+    if b[0] is None:
+        if a[0] is None:
+            value = _ALU_SLL(a[2], b[2])
+            return (EARLY, value, const(value), True, False)
+        shifted = shift_left(a, b[2] & 0x3F)
+        if shifted is not None:
+            return (REWRITTEN, None, shifted, True, False)
+    return _PLAIN
 
 
-def _make_multiply(shift_fn):
+def _multiply(a: SymVal, b: SymVal) -> tuple:
     """Strength reduction: multiply by a power of two becomes a shift."""
-    def multiply(a: SymVal, b: SymVal) -> tuple:
-        for multiplier, other in ((a, b), (b, a)):
-            if multiplier[0] is not None:
-                continue
-            factor = multiplier[2]
-            if factor == 0:
-                return (EARLY, 0, const(0), True, True)
-            if factor == 1:
-                if other[0] is None:
-                    return (EARLY, other[2], other, True, True)
-                return (REWRITTEN, None, other, True, True)
-            if factor > 1 and factor & (factor - 1) == 0:
-                shift = factor.bit_length() - 1
-                if other[0] is None:
-                    value = shift_fn(other[2], shift)
-                    return (EARLY, value, const(value), True, True)
-                shifted = shift_left(other, shift)
-                if shifted is not None:
-                    return (REWRITTEN, None, shifted, True, True)
-                # Still executable as a 1-cycle shift even though the
-                # result is not symbolically encodable.
-                return (PLAIN, None, None, False, True)
-        return _PLAIN
-    return multiply
+    for multiplier, other in ((a, b), (b, a)):
+        if multiplier[0] is not None:
+            continue
+        factor = multiplier[2]
+        if factor == 0:
+            return (EARLY, 0, const(0), True, True)
+        if factor == 1:
+            if other[0] is None:
+                return (EARLY, other[2], other, True, True)
+            return (REWRITTEN, None, other, True, True)
+        if factor > 1 and factor & (factor - 1) == 0:
+            shift = factor.bit_length() - 1
+            if other[0] is None:
+                value = _ALU_SLL(other[2], shift)
+                return (EARLY, value, const(value), True, True)
+            shifted = shift_left(other, shift)
+            if shifted is not None:
+                return (REWRITTEN, None, shifted, True, True)
+            # Still executable as a 1-cycle shift even though the
+            # result is not symbolically encodable.
+            return (PLAIN, None, None, False, True)
+    return _PLAIN
 
 
 def _make_fold(fn):
@@ -200,42 +196,28 @@ def _make_unary_fold(fn):
     return unary_fold
 
 
-#: Opcodes that fold to a constant when all sources are constant but
-#: have no symbolic (base << scale) + offset form otherwise.
-_FOLD_ONLY_OPS = frozenset({
-    Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.BIC,
-    Opcode.SRL, Opcode.SRA,
-    Opcode.CMPEQ, Opcode.CMPNE, Opcode.CMPLT, Opcode.CMPLE,
-    Opcode.CMPULT, Opcode.CMPULE,
-})
-_UNARY_FOLD_OPS = frozenset({Opcode.SEXTB, Opcode.SEXTW, Opcode.SEXTL})
+_HANDLER_OF = {
+    Opcode.ADD: _add,
+    Opcode.LDA: _add,
+    Opcode.SUB: _sub,
+    Opcode.S4ADD: _make_scaled_add(alu.INT_OPS[Opcode.S4ADD], 2),
+    Opcode.S8ADD: _make_scaled_add(alu.INT_OPS[Opcode.S8ADD], 3),
+    Opcode.SLL: _shift_left,
+    Opcode.MUL: _multiply,
+    Opcode.MOV: _mov,
+}
+# Opcodes that fold to a constant when all sources are constant but
+# have no symbolic (base << scale) + offset form otherwise.
+for _opcode in (Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.BIC,
+                Opcode.SRL, Opcode.SRA, Opcode.CMPEQ, Opcode.CMPNE,
+                Opcode.CMPLT, Opcode.CMPLE, Opcode.CMPULT, Opcode.CMPULE):
+    _HANDLER_OF[_opcode] = _make_fold(alu.INT_OPS[_opcode])
+for _opcode in (Opcode.SEXTB, Opcode.SEXTW, Opcode.SEXTL):
+    _HANDLER_OF[_opcode] = _make_unary_fold(alu.UNARY_INT_OPS[_opcode])
 
-_add = _make_add(alu.INT_OPS[Opcode.ADD])
-
-
-def _handler_for(opcode: Opcode):
-    if opcode is Opcode.ADD or opcode is Opcode.LDA:
-        return _add
-    if opcode is Opcode.SUB:
-        return _make_sub(alu.INT_OPS[opcode])
-    if opcode is Opcode.S4ADD or opcode is Opcode.S8ADD:
-        return _make_scaled_add(alu.INT_OPS[opcode],
-                                2 if opcode is Opcode.S4ADD else 3)
-    if opcode is Opcode.SLL:
-        return _make_shift_left(alu.INT_OPS[opcode])
-    if opcode is Opcode.MUL:
-        return _make_multiply(alu.INT_OPS[Opcode.SLL])
-    if opcode is Opcode.MOV:
-        return _mov
-    if opcode in _FOLD_ONLY_OPS:
-        return _make_fold(alu.INT_OPS[opcode])
-    if opcode in _UNARY_FOLD_OPS:
-        return _make_unary_fold(alu.UNARY_INT_OPS[opcode])
-    return _plain
-
-
-#: CP/RA handler per opcode id (see the module docstring).
-HANDLERS = tuple(_handler_for(opcode) for opcode in OPCODES_BY_ID)
+#: CP/RA handler per opcode id (see the module docstring); div, rem
+#: and every non-integer opcode get the plain handler.
+HANDLERS = tuple(_HANDLER_OF.get(opcode, _plain) for opcode in OPCODES_BY_ID)
 
 
 def transform(opcode: Opcode, srcs: list[SymVal]) -> Outcome:

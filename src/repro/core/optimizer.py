@@ -32,8 +32,8 @@ and the optimizer sheds that state under register pressure (dropping a
 hint is always safe).
 
 The rename stage runs once per dynamic instruction, so it is
-table-driven.  :meth:`OptimizingRenamer.rename` indexes a tuple of
-bound handlers by the opcode id's rename kind, and integer ALU
+table-driven.  :meth:`OptimizingRenamer.rename` calls the category
+handler that a per-opcode-id table names, and integer ALU
 instructions call CP/RA's per-opcode handler table
 (:data:`repro.core.cpra.HANDLERS`) directly.  The integer registers'
 symbolic state lives in RAT-indexed lists, each source is resolved
@@ -69,10 +69,9 @@ _INT_COND_BRANCHES = frozenset({
 _PENDING_INSERT = 0
 _PENDING_INVALIDATE = 1
 
-# Handler selection per opcode id, computed once: ``rename`` indexes
-# its tuple of bound handlers with it.  The arm order below mirrors
-# the classic if-chain, so FP conditional branches (fbeq/fbne) and nop
-# land on the plain path.
+# Handler category per opcode id, computed once (see _HANDLER_BY_OP).
+# The arm order below mirrors the classic if-chain, so FP conditional
+# branches (fbeq/fbne) and nop land on the plain path.
 _RK_BRANCH, _RK_JUMP, _RK_LOAD, _RK_STORE, _RK_INT_ALU, _RK_PLAIN = range(6)
 
 
@@ -159,9 +158,6 @@ class OptimizingRenamer(BaselineRenamer):
         for arch in range(NUM_INT_REGS):
             if arch != ZERO_REG:
                 self._syms[arch] = self._plains[self._map[arch]]
-        self._handlers = (self._rename_branch, self._rename_jump,
-                          self._rename_load, self._rename_store,
-                          self._rename_int_alu, self._rename_plain)
         # statistics
         self.stat_early = 0
         self.stat_rewritten = 0
@@ -202,7 +198,7 @@ class OptimizingRenamer(BaselineRenamer):
                 and not self._prf.can_allocate()):
             raise OutOfRegisters("no free physical registers")
         di.rename_cycle = cycle
-        self._handlers[_RENAME_KIND[di.op]](di)
+        _HANDLER_BY_OP[di.op](self, di)
 
     # ------------------------------------------------------------------
     # RAT symbolic-state updates
@@ -707,3 +703,15 @@ class OptimizingRenamer(BaselineRenamer):
             "opt_depth_rejections": self.stat_depth_rejections,
             "opt_values_fed_back": self.feedback.values_fed_back,
         })
+
+
+# The per-category handler of every opcode id, as plain functions: a
+# tuple of bound methods on each renamer would form a reference cycle
+# that keeps every finished renamer (and its register file, MBC and
+# known-value table) alive until the next full garbage collection.
+_HANDLER_BY_OP = tuple(
+    (OptimizingRenamer._rename_branch, OptimizingRenamer._rename_jump,
+     OptimizingRenamer._rename_load, OptimizingRenamer._rename_store,
+     OptimizingRenamer._rename_int_alu,
+     OptimizingRenamer._rename_plain)[kind]
+    for kind in _RENAME_KIND)

@@ -65,6 +65,20 @@ class TestLiveness:
         assert reused == preg
         assert channel.lookup(preg) is None  # version mismatch
 
+    def test_free_register_is_not_published(self):
+        # A result whose register was freed before it completed must
+        # not reach the register's next allocation, which carries the
+        # version the free bumped to.
+        prf = PhysRegFile(1)
+        channel = ValueFeedbackChannel(prf, delay=1)
+        preg = prf.allocate()
+        prf.release(preg)
+        channel.publish(preg, 42, cycle=0)
+        assert prf.allocate() == preg
+        channel.drain(cycle=1)
+        assert channel.lookup(preg) is None
+        assert channel.values_fed_back == 0
+
     def test_record_known_immediate(self, prf):
         channel = ValueFeedbackChannel(prf, delay=10)
         preg = prf.allocate()
