@@ -178,7 +178,6 @@ def _multiply(a: SymVal, b: SymVal) -> tuple:
 
 
 def _make_fold(fn):
-    """Ops that fold to a constant but have no symbolic form."""
     def fold(a: SymVal, b: SymVal) -> tuple:
         if a[0] is None and b[0] is None:
             value = fn(a[2], b[2])

@@ -22,7 +22,6 @@ class ValueFeedbackChannel:
     """Delay line + known-value table for execution results."""
 
     def __init__(self, prf: PhysRegFile, delay: int):
-        self._prf = prf
         self._refcounts = prf.refcounts
         self._versions = prf.versions
         self._delay = delay

@@ -70,8 +70,8 @@ _PENDING_INSERT = 0
 _PENDING_INVALIDATE = 1
 
 # Handler category per opcode id, computed once (see _HANDLER_BY_OP).
-# The arm order below mirrors the classic if-chain, so FP conditional
-# branches (fbeq/fbne) and nop land on the plain path.
+# The arm order settles overlaps: FP conditional branches (fbeq/fbne)
+# and nop land on the plain path.
 _RK_BRANCH, _RK_JUMP, _RK_LOAD, _RK_STORE, _RK_INT_ALU, _RK_PLAIN = range(6)
 
 
@@ -120,14 +120,13 @@ class OptimizingRenamer(BaselineRenamer):
     def __init__(self, prf: PhysRegFile, config: MachineConfig):
         super().__init__(prf)
         ocfg = config.optimizer
-        self._config = config
-        self._ocfg = ocfg
         # Configuration the handlers test per instruction, read once.
         self._opt = ocfg.enable_opt
         self._rle_sf = ocfg.enable_opt and ocfg.enable_rle_sf
         self._publish = ocfg.enable_feedback
         self._add_depth = ocfg.add_depth
         self._mem_depth = ocfg.mem_depth
+        self._strict = ocfg.verify
         self.feedback = ValueFeedbackChannel(prf, ocfg.vf_delay)
         self.mbc = MemoryBypassCache(ocfg.mbc_entries, prf)
         # State owned by other classes, read through the attributes
@@ -282,7 +281,7 @@ class OptimizingRenamer(BaselineRenamer):
         Raw equality implies equality after normalization, so the
         handlers' raw comparison skips only checks that would pass.
         """
-        if not self._ocfg.verify:
+        if not self._strict:
             return
         if isinstance(produced, int) and isinstance(expected, int):
             produced = to_signed64(produced)
@@ -588,14 +587,15 @@ class OptimizingRenamer(BaselineRenamer):
                     self._verify(di, addr, di.addr,
                                  "rename-time store address")
                 di.addr_known = addr_known = True
-        if addr_known:
-            pass
-        elif self._opt and base is not None:
-            deps.append(base)
-        else:
-            preg = mapping[base_arch]
-            if preg is not None:
-                deps.append(preg)
+        if not addr_known:
+            # Address generation depends on the (possibly
+            # reassociated) base register.
+            if self._opt and base is not None:
+                deps.append(base)
+            else:
+                preg = mapping[base_arch]
+                if preg is not None:
+                    deps.append(preg)
         # Data operand: forwarded symbolically into the MBC, but the
         # store unit itself reads the plain physical register unless
         # the data is a known constant.
