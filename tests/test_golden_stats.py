@@ -4,7 +4,9 @@ Every workload in :data:`GOLDEN_WORKLOADS` is simulated on each
 machine configuration in :data:`GOLDEN_CONFIGS` — the baseline, the
 default optimizer, and Figure 10's deepest bundle limits — and its
 full :meth:`PipelineStats.to_json` compared against a committed
-snapshot ``tests/golden/<workload>.<label>.json``.  Any behavioural
+snapshot ``tests/golden/<workload>.<label>.json``.  The
+:data:`ZERO_STAGE_CONFIGS` snapshots pin machines with a zero-cycle
+rename, dispatch or register-read stage on a prefix of two workloads.  Any behavioural
 change in the emulator, the assembler, a workload kernel, the
 synthetic generator, the timing model or the optimizer shows up as a
 counter-level diff here — deliberately strict, so unintentional drift
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -56,6 +59,21 @@ GOLDEN_CONFIGS = {
 }
 OPTIMIZER_LABELS = ("optimized", "depth3")
 
+#: Machines with a zero-cycle stage.  With no rename stages an
+#: early-executed instruction (or a nop) schedules its events for the
+#: cycle the pipeline has already written back, so they must run at the
+#: next writeback; with no dispatch or register-read stage an
+#: instruction enters the scheduler, or completes, as soon as it can.
+#: Simulated on the first ``ZERO_STAGE_ROWS`` rows of each workload.
+ZERO_STAGE_WORKLOADS = ("mcf", "synth:mixed@seed=0")
+ZERO_STAGE_ROWS = 3000
+ZERO_STAGE_CONFIGS = {
+    "rename0": replace(default_config(), rename_stages=0),
+    "rename0-opt0": replace(optimized_config(opt_stages=0), rename_stages=0),
+    "dispatch0": replace(default_config(), dispatch_stages=0),
+    "regread0-opt": replace(optimized_config(), regread_stages=0),
+}
+
 
 def golden_path(name: str, label: str = "baseline") -> pathlib.Path:
     safe = name.replace(":", "_").replace("@", "_").replace(",", "_") \
@@ -78,8 +96,18 @@ def test_optimizer_stats_match_golden_snapshot(label, name, update_golden):
     check_snapshot(name, label, update_golden)
 
 
-def check_snapshot(name: str, label: str, update_golden: bool) -> None:
-    stats = compute_stats(name, label)
+@pytest.mark.parametrize("name", ZERO_STAGE_WORKLOADS)
+@pytest.mark.parametrize("label", tuple(ZERO_STAGE_CONFIGS))
+def test_zero_stage_stats_match_golden_snapshot(label, name, update_golden):
+    stats = simulate_trace(build_trace(name).trace[:ZERO_STAGE_ROWS],
+                           ZERO_STAGE_CONFIGS[label])
+    check_snapshot(name, label, update_golden, stats)
+
+
+def check_snapshot(name: str, label: str, update_golden: bool,
+                   stats: PipelineStats | None = None) -> None:
+    if stats is None:
+        stats = compute_stats(name, label)
     path = golden_path(name, label)
     if update_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
@@ -104,6 +132,9 @@ def test_golden_directory_has_no_orphans():
     """Every committed snapshot names a listed workload and config."""
     expected = {golden_path(name, label).name
                 for name in GOLDEN_WORKLOADS for label in GOLDEN_CONFIGS}
+    expected |= {golden_path(name, label).name
+                 for name in ZERO_STAGE_WORKLOADS
+                 for label in ZERO_STAGE_CONFIGS}
     actual = {p.name for p in GOLDEN_DIR.glob("*.json")}
     assert actual <= expected, (
         f"orphaned golden snapshots: {sorted(actual - expected)}")
