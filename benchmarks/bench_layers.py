@@ -7,22 +7,32 @@ optimizer), plus each workload's optimizer/baseline time ratio.  The
 traces are emulated before timing starts, so the rows cover
 simulation only; each is the best of ``ROUNDS`` passes.
 
-``BEFORE`` keeps the same rows as measured before the optimizer's
-table-driven fast path (same script, same 2-CPU container), so the
-published ``BENCH_layers.json`` carries the before/after pair.  There
-is deliberately no timing gate: on a shared 2-CPU container the
+The work rows count what ``Pipeline.run`` executes per retired
+instruction over the first ``WORK_ROWS`` rows of the same traces:
+``bytecodes_per_insn`` (bytecode instructions, from ``sys.settrace``
+opcode events, or ``sys.monitoring`` INSTRUCTION events on CPython
+3.12+) and ``calls_per_insn`` (Python-level function calls).  The
+counts are exact and repeat run to run, but differ between CPython
+versions, so they are keyed by ``major.minor``.
+
+``BEFORE`` keeps the throughput rows as measured before the
+optimizer's table-driven fast path and ``WORK_BEFORE`` the work rows
+before the fused cycle loop (same script, same 2-CPU container), so
+the published ``BENCH_layers.json`` carries the before/after pairs.
+There is deliberately no gate: on a shared 2-CPU container the
 optimizer/baseline ratio moves by more between runs than a regression
-gate could tolerate.
+gate could tolerate, and the work counts are a ledger, not a check.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 
 from conftest import publish
 
 from repro.uarch.config import default_config, optimized_config
-from repro.uarch.pipeline import simulate_trace
+from repro.uarch.pipeline import make_pipeline, simulate_trace
 from repro.workloads import build_trace
 
 WORKLOADS = ("mcf", "gcc", "synth:branchy")
@@ -47,6 +57,93 @@ BEFORE = {
                           "optimized_seconds": 0.6121},
     },
 }
+
+
+#: Rows of each trace the work rows simulate.
+WORK_ROWS = 5000
+SMOKE_WORK_ROWS = 500
+
+#: The work rows before the fused cycle loop (per-stage methods, an
+#: event heap, per-instruction record construction), CPython 3.11.
+WORK_BEFORE = {
+    "3.11": {
+        "mcf": {"baseline": {"bytecodes_per_insn": 1553.0,
+                             "calls_per_insn": 31.5},
+                "optimized": {"bytecodes_per_insn": 1692.6,
+                              "calls_per_insn": 32.1}},
+        "gcc": {"baseline": {"bytecodes_per_insn": 1445.6,
+                             "calls_per_insn": 30.4},
+                "optimized": {"bytecodes_per_insn": 1775.0,
+                              "calls_per_insn": 34.6}},
+        "synth:branchy": {"baseline": {"bytecodes_per_insn": 1448.4,
+                                       "calls_per_insn": 30.1},
+                          "optimized": {"bytecodes_per_insn": 1659.9,
+                                        "calls_per_insn": 32.4}},
+    },
+}
+
+
+def _run_counting_settrace(pipeline) -> tuple[int, int, int]:
+    counts = [0, 0]  # bytecodes, calls
+
+    def on_opcode(frame, event, arg):
+        if event == "opcode":
+            counts[0] += 1
+        return on_opcode
+
+    def on_call(frame, event, arg):
+        counts[1] += 1
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        retired = pipeline.run().retired
+    finally:
+        sys.settrace(previous)
+    return counts[0], counts[1], retired
+
+
+def _run_counting_monitoring(pipeline) -> tuple[int, int, int]:
+    monitoring = sys.monitoring
+    events = monitoring.events
+    tool = monitoring.PROFILER_ID
+    counts = [0, 0]  # bytecodes, calls
+
+    def on_instruction(code, offset):
+        counts[0] += 1
+
+    def on_start(code, offset):
+        counts[1] += 1
+
+    monitoring.use_tool_id(tool, "bench_layers")
+    try:
+        monitoring.register_callback(tool, events.INSTRUCTION,
+                                     on_instruction)
+        monitoring.register_callback(tool, events.PY_START, on_start)
+        monitoring.set_events(tool, events.INSTRUCTION | events.PY_START)
+        try:
+            retired = pipeline.run().retired
+        finally:
+            monitoring.set_events(tool, events.NO_EVENTS)
+    finally:
+        monitoring.register_callback(tool, events.INSTRUCTION, None)
+        monitoring.register_callback(tool, events.PY_START, None)
+        monitoring.free_tool_id(tool)
+    return counts[0], counts[1], retired
+
+
+def _work_row(trace, config) -> dict:
+    """Bytecodes and Python calls per retired instruction in ``run``."""
+    pipeline = make_pipeline(trace, config)
+    trace.statics()  # built once per trace, not per instruction
+    count = (_run_counting_monitoring if sys.version_info >= (3, 12)
+             else _run_counting_settrace)
+    bytecodes, calls, retired = count(pipeline)
+    # the call into run itself is not work done inside it
+    return {"bytecodes_per_insn": round(bytecodes / retired, 1),
+            "calls_per_insn": round((calls - 1) / retired, 1)}
 
 
 def _best_seconds(trace, config, rounds: int) -> tuple[float, int]:
@@ -91,6 +188,13 @@ def test_simulate_layers(benchmark, smoke):
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     assert all(row["insns"] > 0 for row in rows.values())
+    work_rows = SMOKE_WORK_ROWS if smoke else WORK_ROWS
+    work = {name: {"baseline": _work_row(trace[:work_rows], baseline),
+                   "optimized": _work_row(trace[:work_rows], optimized)}
+            for name, trace in traces.items()}
+    python = f"{sys.version_info.major}.{sys.version_info.minor}"
+    # the before counts cover WORK_ROWS rows, not the smoke slice
+    work_before = {} if smoke else WORK_BEFORE.get(python, {})
     total = _total(rows)
     before = _total({name: BEFORE["rows"][name] for name in workloads})
     speedup = (total["optimized_insns_per_s"]
@@ -107,6 +211,22 @@ def test_simulate_layers(benchmark, smoke):
     lines += [line(name, row) for name, row in rows.items()]
     lines += [line("total", total), line("total before", before),
               f"optimizing renamer: {speedup:.2f}x the before row"]
+
+    def work_line(name, label):
+        now = work[name][label]
+        then = work_before.get(name, {}).get(label)
+        text = (f"{name:14s} {label:10s} {now['bytecodes_per_insn']:>9,.1f}"
+                f" {now['calls_per_insn']:>6.1f}")
+        if then is not None:
+            text += (f"   (before {then['bytecodes_per_insn']:,.1f},"
+                     f" {then['calls_per_insn']:.1f})")
+        return text
+
+    lines += ["", f"work per instruction in Pipeline.run, rows 0-"
+                  f"{work_rows - 1:,}, CPython {python}",
+              f"{'':14s} {'renamer':10s} {'bytecodes':>9s} {'calls':>6s}"]
+    lines += [work_line(name, label) for name in work
+              for label in ("baseline", "optimized")]
     publish("layers", "\n".join(lines), smoke, data={
         "workloads": list(workloads),
         "rounds": rounds,
@@ -114,4 +234,7 @@ def test_simulate_layers(benchmark, smoke):
         "total": total,
         "before": dict(BEFORE, total=before),
         "optimized_speedup_over_before": round(speedup, 4),
+        "work_rows": work_rows,
+        "work_per_insn": {python: work},
+        "work_before": WORK_BEFORE,
     })

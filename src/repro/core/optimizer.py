@@ -50,7 +50,7 @@ from ..functional.alu import to_signed64
 from ..isa.instructions import Imm
 from ..isa.opcodes import (OP_SPEC_BY_ID, OPCODE_ID, OPCODES_BY_ID,
                            QUEUE_INT, OpClass, Opcode)
-from ..isa.registers import NUM_ARCH_REGS, NUM_INT_REGS, ZERO_REG, is_zero_reg
+from ..isa.registers import NUM_INT_REGS, ZERO_REG
 from ..uarch.config import MachineConfig
 from ..uarch.dyninstr import DynInstr
 from ..uarch.regfile import OutOfRegisters, PhysRegFile
@@ -60,7 +60,7 @@ from . import cpra, symbolic
 from .cpra import BRANCH_TESTS, EARLY, IMPLIED_VALUES, REWRITTEN
 from .feedback import ValueFeedbackChannel
 from .mbc import MemoryBypassCache
-from .symbolic import SymVal
+from .symbolic import SMALL_CONSTS, SymVal
 
 _INT_COND_BRANCHES = frozenset({
     Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE, Opcode.BLE, Opcode.BGT,
@@ -98,10 +98,6 @@ _STF_ID = OPCODE_ID[Opcode.STF]
 _BR_ID = OPCODE_ID[Opcode.BR]
 _JSR_ID = OPCODE_ID[Opcode.JSR]
 
-#: Per architectural register: True unless it is hardwired to zero
-#: (writes to the zero registers allocate nothing).
-_WRITABLE = tuple(not is_zero_reg(arch) for arch in range(NUM_ARCH_REGS))
-
 #: Depth tag of a register no instruction of the current bundle wrote:
 #: ``(bundle id, chained additions, chained memory operations)``.
 _NO_TAG = (-1, 0, 0)
@@ -132,7 +128,6 @@ class OptimizingRenamer(BaselineRenamer):
         # State owned by other classes, read through the attributes
         # they document.  Without value feedback no source is ever
         # folded, so the known-value probe sees an empty table.
-        self._map = self.rat.mapping
         self._known = self.feedback.known if ocfg.enable_feedback else {}
         self._fb_pending = self.feedback.pending
         self._cpra = cpra.HANDLERS
@@ -181,9 +176,7 @@ class OptimizingRenamer(BaselineRenamer):
                 else:
                     mbc.invalidate_overlap(addr, size)
             self._mbc_pending.clear()
-            release = self._prf.release
-            for preg in self._pending_refs:
-                release(preg)
+            self._prf.release_all(self._pending_refs)
             self._pending_refs.clear()
         self._bundle_id += 1
 
@@ -192,9 +185,7 @@ class OptimizingRenamer(BaselineRenamer):
     # ==================================================================
 
     def rename(self, di: DynInstr, cycle: int) -> None:
-        dst = di.instr.dst
-        if (dst is not None and _WRITABLE[dst]
-                and not self._prf.can_allocate()):
+        if di.arch_dst >= 0 and not self._free:
             raise OutOfRegisters("no free physical registers")
         di.rename_cycle = cycle
         _HANDLER_BY_OP[di.op](self, di)
@@ -223,7 +214,10 @@ class OptimizingRenamer(BaselineRenamer):
         base = sym[0]
         new_ref = None
         if base is not None and base != self._map[arch]:
-            self._prf.add_ref(base)
+            refcounts = self._refcounts
+            if refcounts[base] <= 0:
+                raise ValueError(f"add_ref on free register p{base}")
+            refcounts[base] += 1
             new_ref = base
         old_ref = self._sym_refs[arch]
         if old_ref is not None:
@@ -239,18 +233,27 @@ class OptimizingRenamer(BaselineRenamer):
         *sym* None (or feedback-only mode) installs the plain new
         register.
         """
-        dst = di.instr.dst
-        if dst is None or not _WRITABLE[dst]:
+        dst = di.arch_dst
+        if dst < 0:
             return None
         preg = self._prf.allocate()
         # Any known-value record of the register's previous life is
         # stale; dropping it keeps the probes in the handlers precise.
         self._known.pop(preg, None)
-        di.prev_preg = self.rat.remap(dst, preg)
+        mapping = self._map
+        di.prev_preg = mapping[dst]
+        mapping[dst] = preg
         di.dst_preg = preg
         if dst < NUM_INT_REGS:
             if sym is None or not self._opt:
-                self._set_sym(dst, self._plains[preg])
+                # :meth:`_set_sym` of the plain new mapping, which pins
+                # nothing.
+                old_ref = self._sym_refs[dst]
+                if old_ref is not None:
+                    self._prf.release(old_ref)
+                    self._sym_refs[dst] = None
+                self._syms[dst] = self._plains[preg]
+                self._tags[dst] = _NO_TAG
             elif add_depth or mem_chain:
                 self._set_sym(dst, sym,
                               (self._bundle_id, add_depth, mem_chain))
@@ -261,13 +264,15 @@ class OptimizingRenamer(BaselineRenamer):
     def _take_mapping_deps(self, di: DynInstr) -> None:
         """Depend on the physical mappings of all register sources."""
         mapping = self._map
-        add_ref = self._prf.add_ref
+        refcounts = self._refcounts
         deps = []
-        for arch in di.reg_srcs:
+        for arch in di.arch_srcs:
             preg = mapping[arch]
-            if preg is not None:
-                add_ref(preg)
-                deps.append(preg)
+            count = refcounts[preg]
+            if count <= 0:
+                raise ValueError(f"add_ref on free register p{preg}")
+            refcounts[preg] = count + 1
+            deps.append(preg)
         di.src_pregs = tuple(deps)
 
     # ------------------------------------------------------------------
@@ -310,7 +315,9 @@ class OptimizingRenamer(BaselineRenamer):
         a = b = None
         for src in instr.srcs:
             if type(src) is Imm:
-                sym = symbolic.const(src.value)
+                value = src.value
+                sym = (SMALL_CONSTS[value + 256] if -256 <= value <= 256
+                       else symbolic.const(value))
             else:
                 arch = src.index
                 sym = syms[arch]
@@ -328,7 +335,9 @@ class OptimizingRenamer(BaselineRenamer):
                 b = sym
         op = di.op
         if op == _LDA_ID:
-            b = symbolic.const(instr.disp)
+            value = instr.disp
+            b = (SMALL_CONSTS[value + 256] if -256 <= value <= 256
+                 else symbolic.const(value))
         kind, value, sym, uses_alu, reduced = self._cpra[op](a, b)
         if uses_alu and depth > self._add_depth:
             # This transformation would chain one more serial addition
@@ -348,7 +357,6 @@ class OptimizingRenamer(BaselineRenamer):
             if value != di.result:
                 self._verify(di, value, di.result, "early value")
             di.early = True
-            di.early_value = value
             self.stat_early += 1
             if uses_alu:
                 depth += 1
@@ -365,7 +373,10 @@ class OptimizingRenamer(BaselineRenamer):
                 depth += 1
             base = sym[0]
             if base is not None:
-                self._prf.add_ref(base)
+                refcounts = self._refcounts
+                if refcounts[base] <= 0:
+                    raise ValueError(f"add_ref on free register p{base}")
+                refcounts[base] += 1
                 di.src_pregs = (base,)
             self._allocate_dst(di, sym, depth, mem_chain)
             return
@@ -453,7 +464,10 @@ class OptimizingRenamer(BaselineRenamer):
         # Address not available at rename: agen depends on the
         # (possibly reassociated) base register.
         if self._opt and base is not None:
-            self._prf.add_ref(base)
+            refcounts = self._refcounts
+            if refcounts[base] <= 0:
+                raise ValueError(f"add_ref on free register p{base}")
+            refcounts[base] += 1
             di.src_pregs = (base,)
         else:
             self._take_mapping_deps(di)
@@ -466,9 +480,9 @@ class OptimizingRenamer(BaselineRenamer):
         if addr != di.addr:
             self._verify(di, addr, di.addr, "rename-time load address")
         di.addr_known = True
-        dst = di.instr.dst
+        dst = di.arch_dst
         is_fp_load = di.op == _LDF_ID
-        eligible = (self._rle_sf and dst is not None and _WRITABLE[dst]
+        eligible = (self._rle_sf and dst >= 0
                     and (is_fp_load or dst < NUM_INT_REGS))
         if eligible:
             bypassed = (self._try_bypass_fp_load(di) if is_fp_load
@@ -511,7 +525,6 @@ class OptimizingRenamer(BaselineRenamer):
             if value != di.result:
                 self._verify(di, value, di.result, "forwarded load value")
             di.early = True
-            di.early_value = value
             self.stat_early += 1
             dst = self._allocate_dst(di, sym, 0, 1)
             if dst is not None:
@@ -523,7 +536,7 @@ class OptimizingRenamer(BaselineRenamer):
             # destination architectural register is remapped onto the
             # previous memory operation's register.  No execution at all.
             self._remap_to_existing(di, base)
-            self._set_sym(di.instr.dst, sym, (self._bundle_id, 0, 1))
+            self._set_sym(di.arch_dst, sym, (self._bundle_id, 0, 1))
             return True
         # Offset/scaled forward: becomes a single-cycle move computing
         # (base << scale) + offset on a simple ALU.
@@ -539,7 +552,7 @@ class OptimizingRenamer(BaselineRenamer):
         di.early = True
         self.stat_early += 1
         self._prf.add_ref(preg)  # the new architectural-mapping reference
-        di.prev_preg = self.rat.remap(di.instr.dst, preg)
+        di.prev_preg = self.rat.remap(di.arch_dst, preg)
         di.dst_preg = None
 
     def _try_bypass_fp_load(self, di: DynInstr) -> bool:
@@ -611,9 +624,11 @@ class OptimizingRenamer(BaselineRenamer):
             if preg is not None:
                 deps.append(preg)
         if deps:
-            add_ref = self._prf.add_ref
+            refcounts = self._refcounts
             for preg in deps:
-                add_ref(preg)
+                if refcounts[preg] <= 0:
+                    raise ValueError(f"add_ref on free register p{preg}")
+                refcounts[preg] += 1
             di.src_pregs = tuple(deps)
         if not (addr_known and self._rle_sf):
             return
@@ -646,7 +661,7 @@ class OptimizingRenamer(BaselineRenamer):
             self._pending_refs.append(base)
 
     def _rename_plain(self, di: DynInstr) -> None:
-        if di.reg_srcs:
+        if di.arch_srcs:
             self._take_mapping_deps(di)
         self._allocate_dst(di, None)
 
@@ -655,16 +670,13 @@ class OptimizingRenamer(BaselineRenamer):
     # ==================================================================
 
     def on_complete(self, di: DynInstr, cycle: int) -> None:
-        src_pregs = di.src_pregs
-        if src_pregs:
-            release = self._prf.release
-            for preg in src_pregs:
-                release(preg)
+        if di.src_pregs:
+            self._prf.release_all(di.src_pregs)
         preg = di.dst_preg
         if preg is None or not self._publish:
             return
         result = di.result
-        if isinstance(result, int) and di.instr.dst < NUM_INT_REGS:
+        if isinstance(result, int) and di.arch_dst < NUM_INT_REGS:
             if result > _INT64_MAX or result < _INT64_MIN:
                 result = to_signed64(result)
             self.feedback.publish(preg, result, cycle)

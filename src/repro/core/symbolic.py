@@ -84,9 +84,11 @@ _tuple_new = tuple.__new__
 
 #: Interned small constants and the zero constant — the overwhelmingly
 #: common values (loop bounds, displacements, flag results).
-_SMALL_CONSTS = tuple(_tuple_new(SymVal, (None, 0, v))
-                      for v in range(-256, 257))
-ZERO = _SMALL_CONSTS[256]
+#: ``SMALL_CONSTS[v + 256]`` is :func:`const` ``(v)`` for
+#: ``-256 <= v <= 256``; hot callers may index it directly.
+SMALL_CONSTS = tuple(_tuple_new(SymVal, (None, 0, v))
+                     for v in range(-256, 257))
+ZERO = SMALL_CONSTS[256]
 
 _INT64_MAX = (1 << 63) - 1
 _INT64_MIN = -(1 << 63)
@@ -95,7 +97,7 @@ _INT64_MIN = -(1 << 63)
 def const(value: int) -> SymVal:
     """A known constant value."""
     if -256 <= value <= 256:
-        return _SMALL_CONSTS[value + 256]
+        return SMALL_CONSTS[value + 256]
     if value > _INT64_MAX or value < _INT64_MIN:
         value = to_signed64(value)
     return _tuple_new(SymVal, (None, 0, value))

@@ -1011,9 +1011,11 @@ class JobManager:
         nothing but itself — the job keeps running.
 
         With *heartbeat* set, yields ``None`` whenever that many
-        seconds pass without an event — the HTTP stream turns those
-        into blank keep-alive lines so a client watching a queued or
-        slow job can tell "nothing happened yet" from a dead server.
+        seconds pass without this stream yielding anything — the HTTP
+        stream turns those into blank keep-alive lines so a client
+        watching a queued or slow job can tell "nothing happened yet"
+        from a dead server.  The deadline is this stream's own: other
+        jobs' events wake the stream but do not postpone it.
 
         ``from_index`` skips that many history events — the
         ``GET .../events?from=N`` resume point a reconnecting
@@ -1021,24 +1023,33 @@ class JobManager:
         """
         job = self.get(job_id, tenant)
         index = max(0, from_index)
+        clock = asyncio.get_running_loop().time
+        deadline = (clock() + heartbeat) if heartbeat is not None else 0.0
         while True:
             waiter = self._changed
             while index < len(job.events):
                 event = job.events[index]
                 index += 1
                 yield event
+                if heartbeat is not None:
+                    deadline = clock() + heartbeat
             if job.status in TERMINAL_STATES \
                     and index >= len(job.events):
                 return
             if heartbeat is None:
                 await waiter.wait()
-            else:
+                continue
+            remaining = deadline - clock()
+            if remaining > 0:
                 try:
-                    await asyncio.wait_for(waiter.wait(), heartbeat)
+                    await asyncio.wait_for(waiter.wait(), remaining)
+                    continue
                 # asyncio.TimeoutError only merged into the builtin
                 # on 3.11; setup.py still supports 3.10
                 except (TimeoutError, asyncio.TimeoutError):
-                    yield None
+                    pass
+            yield None
+            deadline = clock() + heartbeat
 
     async def cancel(self, job_id: str,
                      tenant: str | None = None) -> Job:

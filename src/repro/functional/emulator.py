@@ -169,7 +169,9 @@ class ArchState:
 
         Equivalent to ``apply(di.entry)`` without materializing the
         entry: the emulator records a store's data value as the row's
-        ``result``, so ``store_value == result`` by construction.
+        ``result``, so ``store_value == result`` by construction, and
+        ``arch_dst`` is the destination with the zero registers
+        already dropped.
         """
         if di.is_store:
             value = di.result
@@ -181,11 +183,13 @@ class ArchState:
                 self.memory.store(di.addr, int(value), di.mem_size)
         else:
             result = di.result
-            dst = di.instr.dst
-            if dst is not None and result is not None \
-                    and not is_zero_reg(dst):
-                if is_fp_reg(dst):
+            dst = di.arch_dst
+            if dst >= 0 and result is not None:
+                if dst >= NUM_INT_REGS:
                     self.fp_regs[dst - NUM_INT_REGS] = float(result)
+                elif (type(result) is int
+                      and _INT64_MIN <= result <= _INT64_MAX):
+                    self.int_regs[dst] = result
                 else:
                     self.int_regs[dst] = alu.to_signed64(int(result))
         self.applied += 1

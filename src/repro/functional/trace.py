@@ -27,7 +27,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..isa.instructions import Instruction
-from ..isa.opcodes import (DISPATCH_TABLE_BUILD_SECONDS, OPCODE_ID, Opcode)
+from ..isa.opcodes import (DISPATCH_TABLE_BUILD_SECONDS, OP_CLASS_BY_ID,
+                           OP_IS_CONTROL, OP_IS_LOAD, OP_IS_STORE,
+                           OP_MEM_SIZE, OP_QUEUE, OPCODE_ID, Opcode)
+from ..isa.registers import is_zero_reg
 
 #: Column sentinels: ``addrs`` uses -1 for "no effective address" and
 #: ``takens`` uses -1 for "not a control instruction" (0/1 otherwise).
@@ -107,6 +110,24 @@ def note_packed_build(trace: "PackedTrace") -> None:
             _dispatch_build_seconds)
 
 
+def static_record(instr: Instruction, reg_srcs: tuple[int, ...]) -> tuple:
+    """Everything the timing model reads from one static instruction.
+
+    ``(instr, reg_srcs, op, mem_size, is_load, is_store, is_control,
+    sched_class, queue_idx, arch_srcs, arch_dst)``: the opcode id and
+    its flat-table properties, the register sources with the zero
+    registers dropped, and the destination register, or -1 when there
+    is none or it is a zero register.
+    """
+    op = OPCODE_ID[instr.opcode]
+    dst = instr.dst
+    arch_srcs = tuple(arch for arch in reg_srcs if not is_zero_reg(arch))
+    return (instr, reg_srcs, op, OP_MEM_SIZE[op], OP_IS_LOAD[op],
+            OP_IS_STORE[op], OP_IS_CONTROL[op], OP_CLASS_BY_ID[op],
+            OP_QUEUE[op], arch_srcs,
+            -1 if dst is None or is_zero_reg(dst) else dst)
+
+
 class PackedTrace:
     """Structure-of-arrays trace: integer columns + lazy entry views.
 
@@ -117,7 +138,8 @@ class PackedTrace:
     """
 
     __slots__ = ("instrs", "reg_srcs", "seqs", "pcs", "ops", "iidx",
-                 "addrs", "takens", "next_pcs", "results", "srcvals")
+                 "addrs", "takens", "next_pcs", "results", "srcvals",
+                 "_statics")
 
     def __init__(self, instrs: list[Instruction],
                  reg_srcs: list[tuple[int, ...]] | None = None):
@@ -137,6 +159,9 @@ class PackedTrace:
         self.next_pcs = array("q")
         self.results: list[int | float | None] = []
         self.srcvals: list[tuple[int | float, ...]] = []
+        # A one-element cell for the static-instruction records, so
+        # slices share the table whichever of them builds it first.
+        self._statics: list = [None]
 
     # -- sequence protocol --------------------------------------------
 
@@ -160,11 +185,25 @@ class PackedTrace:
             taken=None if taken == NO_TAKEN else bool(taken),
             next_pc=self.next_pcs[i])
 
+    def statics(self) -> list[tuple]:
+        """The :func:`static_record` of every ``instrs`` entry.
+
+        Built on first use and shared with every slice of the trace;
+        it is not part of the pickled state.
+        """
+        cell = self._statics
+        table = cell[0]
+        if table is None:
+            table = cell[0] = list(map(static_record, self.instrs,
+                                       self.reg_srcs))
+        return table
+
     def slice(self, sl: slice) -> "PackedTrace":
         """A packed sub-trace sharing this trace's instruction table."""
         out = PackedTrace.__new__(PackedTrace)
         out.instrs = self.instrs
         out.reg_srcs = self.reg_srcs
+        out._statics = self._statics
         out.seqs = self.seqs[sl]
         out.pcs = self.pcs[sl]
         out.ops = self.ops[sl]
@@ -257,3 +296,4 @@ class PackedTrace:
         (self.instrs, self.reg_srcs, self.seqs, self.pcs, self.ops,
          self.iidx, self.addrs, self.takens, self.next_pcs,
          self.results, self.srcvals) = state
+        self._statics = [None]

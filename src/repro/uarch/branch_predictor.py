@@ -35,23 +35,29 @@ class GsharePredictor:
         # tables warmed by prior context would.
         self._pht: dict[int, int] = {}
 
-    def _index(self, pc: int) -> int:
-        return ((pc >> 2) ^ self._history) & self._mask
-
     def predict(self, pc: int) -> bool:
         """Predict taken/not-taken for the branch at *pc*."""
-        return self._pht.get(self._index(pc), 2) >= 2
+        return self._pht.get(((pc >> 2) ^ self._history) & self._mask,
+                             2) >= 2
 
-    def update(self, pc: int, taken: bool) -> None:
-        """Train the counter and shift the global history."""
-        index = self._index(pc)
-        counter = self._pht.get(index, 2)
+    def update(self, pc: int, taken: bool) -> bool:
+        """Train the counter and shift the global history.
+
+        Returns the prediction the counter made before training, so
+        the front end predicts and trains with one table lookup.
+        """
+        index = ((pc >> 2) ^ self._history) & self._mask
+        pht = self._pht
+        counter = pht.get(index, 2)
         if taken:
-            counter = min(3, counter + 1)
+            if counter < 3:
+                pht[index] = counter + 1
+            self._history = ((self._history << 1) | 1) & self._mask
         else:
-            counter = max(0, counter - 1)
-        self._pht[index] = counter
-        self._history = ((self._history << 1) | int(taken)) & self._mask
+            if counter > 0:
+                pht[index] = counter - 1
+            self._history = (self._history << 1) & self._mask
+        return counter >= 2
 
 
 class BranchTargetBuffer:
@@ -60,25 +66,36 @@ class BranchTargetBuffer:
     def __init__(self, entries: int = 1024):
         if entries & (entries - 1):
             raise ValueError("BTB entries must be a power of two")
-        self._entries = entries
+        # The instruction word splits into tag | index.
+        self._index_mask = entries - 1
+        self._tag_shift = entries.bit_length() - 1
         self._tags: dict[int, tuple[int, int]] = {}  # index -> (tag, target)
-
-    def _split(self, pc: int) -> tuple[int, int]:
-        word = pc >> 2
-        return word % self._entries, word // self._entries
 
     def lookup(self, pc: int) -> int | None:
         """Return the predicted target for *pc*, or None on a miss."""
-        index, tag = self._split(pc)
-        entry = self._tags.get(index)
-        if entry is not None and entry[0] == tag:
+        word = pc >> 2
+        entry = self._tags.get(word & self._index_mask)
+        if entry is not None and entry[0] == word >> self._tag_shift:
             return entry[1]
         return None
 
     def install(self, pc: int, target: int) -> None:
         """Record *target* as the taken target of the branch at *pc*."""
-        index, tag = self._split(pc)
-        self._tags[index] = (tag, target)
+        word = pc >> 2
+        self._tags[word & self._index_mask] = (word >> self._tag_shift,
+                                                target)
+
+    def update(self, pc: int, target: int) -> int | None:
+        """:meth:`install` *target*; returns what :meth:`lookup` gave."""
+        word = pc >> 2
+        index = word & self._index_mask
+        tag = word >> self._tag_shift
+        tags = self._tags
+        entry = tags.get(index)
+        tags[index] = (tag, target)
+        if entry is not None and entry[0] == tag:
+            return entry[1]
+        return None
 
 
 class ReturnAddressStack:
@@ -140,8 +157,7 @@ class FrontEndPredictor:
         """
         pc = instr.pc
         if OP_IS_BRANCH[op]:
-            predicted_taken = self.gshare.predict(pc)
-            self.gshare.update(pc, actual_taken)
+            predicted_taken = self.gshare.update(pc, actual_taken)
             self.cond_branches += 1
             if predicted_taken != actual_taken:
                 self.cond_mispredicts += 1
@@ -149,17 +165,13 @@ class FrontEndPredictor:
                     self.btb.install(pc, actual_target)
                 return True, False
             if actual_taken:
-                target = self.btb.lookup(pc)
-                self.btb.install(pc, actual_target)
-                if target != actual_target:
+                if self.btb.update(pc, actual_target) != actual_target:
                     self.btb_misses += 1
                     return False, True
             return False, False
         if op == _JSR_ID:
             self.ras.push(pc + 4)
-            target = self.btb.lookup(pc)
-            self.btb.install(pc, actual_target)
-            if target != actual_target:
+            if self.btb.update(pc, actual_target) != actual_target:
                 self.btb_misses += 1
                 return False, True
             return False, False
@@ -172,16 +184,12 @@ class FrontEndPredictor:
             return False, False
         if op == _JMP_ID:
             self.indirect_jumps += 1
-            predicted = self.btb.lookup(pc)
-            self.btb.install(pc, actual_target)
-            if predicted != actual_target:
+            if self.btb.update(pc, actual_target) != actual_target:
                 self.indirect_mispredicts += 1
                 return True, False
             return False, False
         # Direct unconditional branch: target known at decode at worst.
-        target = self.btb.lookup(pc)
-        self.btb.install(pc, actual_target)
-        if target != actual_target:
+        if self.btb.update(pc, actual_target) != actual_target:
             self.btb_misses += 1
             return False, True
         return False, False

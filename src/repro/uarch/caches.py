@@ -19,37 +19,38 @@ class Cache:
     def __init__(self, config: CacheConfig, name: str = "cache"):
         self.config = config
         self.name = name
+        num_sets = config.num_sets
+        # An address splits into tag | set index | line offset.
         self._line_shift = config.line_bytes.bit_length() - 1
-        self._set_mask = config.num_sets - 1
+        self._set_mask = num_sets - 1
+        self._tag_shift = num_sets.bit_length() - 1
+        self._assoc = config.assoc
         # Each set is an ordered list of tags, most recent last.
-        self._sets: list[list[int]] = [[] for _ in range(config.num_sets)]
+        self._sets: list[list[int]] = [[] for _ in range(num_sets)]
         self.hits = 0
         self.misses = 0
 
-    def _locate(self, addr: int) -> tuple[int, int]:
-        line = addr >> self._line_shift
-        return line & self._set_mask, line >> (
-            self.config.num_sets.bit_length() - 1)
-
     def access(self, addr: int) -> bool:
         """Touch *addr*; fill on miss.  Returns True on a hit."""
-        set_index, tag = self._locate(addr)
-        ways = self._sets[set_index]
+        line = addr >> self._line_shift
+        tag = line >> self._tag_shift
+        ways = self._sets[line & self._set_mask]
         if tag in ways:
-            ways.remove(tag)
-            ways.append(tag)
+            if ways[-1] != tag:
+                ways.remove(tag)
+                ways.append(tag)
             self.hits += 1
             return True
         self.misses += 1
         ways.append(tag)
-        if len(ways) > self.config.assoc:
+        if len(ways) > self._assoc:
             ways.pop(0)
         return False
 
     def probe(self, addr: int) -> bool:
         """Check for *addr* without updating any state."""
-        set_index, tag = self._locate(addr)
-        return tag in self._sets[set_index]
+        line = addr >> self._line_shift
+        return line >> self._tag_shift in self._sets[line & self._set_mask]
 
     def line_address(self, addr: int) -> int:
         """The line-aligned address containing *addr*."""
@@ -87,6 +88,6 @@ class MemoryHierarchy:
             return self.dl1.config.latency
         return self.dl1.config.latency + self._l2_or_memory(addr)
 
-    def dwrite(self, addr: int) -> int:
-        """Data write at *addr* (write-allocate); returns latency."""
-        return self.dread(addr)
+    #: Data write at *addr* (write-allocate): touches the hierarchy
+    #: exactly like a read and returns the same latency.
+    dwrite = dread

@@ -15,6 +15,10 @@ the intra-bundle dependence depths (Figure 10), and the MBC size.
 The baseline machine (optimizer disabled) has two fewer rename stages,
 exactly as in Section 4.2: enabling the optimizer adds
 ``optimizer.opt_stages`` cycles to the front end.
+
+Every configuration checks its ranges when it is built (including by
+``dataclasses.replace``) and raises a :class:`ValueError` naming the
+field, so a machine the pipeline cannot run never reaches it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
+
+from ..isa.registers import NUM_ARCH_REGS, is_zero_reg
+
+#: Architectural registers the RAT maps to a physical register at reset
+#: (all but the two zero registers).
+RAT_MAPPED_REGS = sum(not is_zero_reg(arch) for arch in range(NUM_ARCH_REGS))
 
 
 def canonical_json(data: dict) -> str:
@@ -31,6 +41,14 @@ def canonical_json(data: dict) -> str:
     this one function so serialized identities can never drift apart.
     """
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _check_minimums(config, minimums: dict[str, int]) -> None:
+    """Raise a ValueError naming the first field below its minimum."""
+    for name, low in minimums.items():
+        value = getattr(config, name)
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 class _StableKeyMixin:
@@ -64,6 +82,8 @@ class CacheConfig(_StableKeyMixin):
     latency: int
 
     def __post_init__(self) -> None:
+        _check_minimums(self, {"size_bytes": 1, "assoc": 1,
+                               "line_bytes": 1, "latency": 0})
         if self.size_bytes % (self.assoc * self.line_bytes):
             raise ValueError("cache size must be a multiple of "
                              "assoc * line size")
@@ -105,6 +125,11 @@ class OptimizerConfig(_StableKeyMixin):
     #: (Section 4.2).  Leave on; it is how the reproduction proves the
     #: optimizer never fabricates values.
     verify: bool = True
+
+    def __post_init__(self) -> None:
+        _check_minimums(self, {"opt_stages": 0, "vf_delay": 0,
+                               "mbc_entries": 1, "add_depth": 0,
+                               "mem_depth": 0})
 
 
 @dataclass(frozen=True)
@@ -149,6 +174,9 @@ class MachineConfig(_StableKeyMixin):
     # the paper's contribution
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
+    def __post_init__(self) -> None:
+        _check_minimums(self, _MACHINE_MINIMUMS)
+
     # ------------------------------------------------------------------
     # derived quantities
     # ------------------------------------------------------------------
@@ -191,6 +219,26 @@ class MachineConfig(_StableKeyMixin):
     def execution_bound(self) -> "MachineConfig":
         """Figure 8's execution-bound variant: 8-wide front end."""
         return replace(self, fetch_width=8, rename_width=8)
+
+
+#: The smallest value of each integer :class:`MachineConfig` field that
+#: the pipeline can run.
+_MACHINE_MINIMUMS = {
+    # widths, capacities and unit counts
+    "fetch_width": 1, "rename_width": 1, "retire_width": 1,
+    "sched_entries": 1, "rob_size": 1, "btb_entries": 1, "ras_entries": 1,
+    "n_simple_ialu": 1, "n_complex_ialu": 1, "n_fpalu": 1, "n_agen": 1,
+    "dcache_ports": 1,
+    # fetch must reach rename through at least one front-end cycle
+    "frontend_depth": 1,
+    # stage counts, delays and depths
+    "rename_stages": 0, "dispatch_stages": 0, "regread_stages": 0,
+    "redirect_penalty": 0, "btb_miss_penalty": 0, "memory_latency": 0,
+    "gshare_bits": 0,
+    # one physical register beyond the reset mappings, or no rename
+    # can ever allocate
+    "num_pregs": RAT_MAPPED_REGS + 1,
+}
 
 
 def default_config() -> MachineConfig:

@@ -1,138 +1,72 @@
 """Dynamic (in-flight) instruction state for the timing model.
 
 A :class:`DynInstr` carries everything the pipeline tracks about one
-dynamic instruction: the oracle values copied straight out of the
-packed trace columns (seq, pc, opcode id, result, effective address,
-branch outcome, next pc), physical register operands after
-rename/optimization, scheduler routing, readiness bookkeeping, the
-optimizer outcome flags (early execution, removed load, known
-address), and the cycle timestamps used to compute latencies.
+dynamic instruction: the static instruction's record from its trace's
+static-instruction table (:meth:`PackedTrace.statics
+<repro.functional.trace.PackedTrace.statics>`), the oracle values
+copied out of the packed trace columns (seq, result, effective
+address, branch outcome, next pc), physical register operands after
+rename/optimization, readiness bookkeeping, the optimizer outcome
+flags (early execution, removed load, known address), and the cycle
+timestamps used to compute latencies.
 
 The hot stages read the direct fields — ``op`` (small-integer opcode
 id, indexing the flat tables in :mod:`repro.isa.opcodes`), ``result``,
-``addr``, ``taken`` — and never materialize a
-:class:`~repro.functional.trace.TraceEntry`.  The :attr:`entry` view
-is still available (built lazily from the packed trace row) for
-diagnostics and for callers that predate the packed format.
+``addr``, ``taken``, and the renamers' ``arch_srcs``/``arch_dst`` —
+and never materialize a :class:`~repro.functional.trace.TraceEntry`.
+The :attr:`entry` view is built from the packed trace row on demand,
+for diagnostics.
 
 Field conventions: ``addr`` is ``-1`` for non-memory instructions;
-``taken`` is ``-1`` for non-control instructions, else ``0``/``1``.
+``taken`` is ``-1`` for non-control instructions, else ``0``/``1``;
+``arch_srcs`` lists the register sources without the zero registers;
+``arch_dst`` is ``-1`` when the instruction writes no register (or
+writes a zero register).
 """
 
 from __future__ import annotations
 
-from ..functional.trace import NO_ADDR, NO_TAKEN, PackedTrace, TraceEntry
-from ..isa.opcodes import (OP_CLASS_BY_ID, OP_IS_CONTROL, OP_IS_LOAD,
-                           OP_IS_STORE, OP_MEM_SIZE, OP_QUEUE, OPCODE_ID,
-                           OpClass)
+from ..functional.trace import PackedTrace, TraceEntry
 
 
 class DynInstr:
     """One in-flight dynamic instruction."""
 
     __slots__ = (
-        "_trace", "_row", "_entry",
-        "seq", "pc", "op", "instr", "reg_srcs",
-        "result", "addr", "taken", "next_pc", "mem_size",
-        "is_load", "is_store", "is_control",
-        "sched_class", "queue_idx", "src_pregs", "dst_preg", "prev_preg",
+        "_trace", "_row",
+        "instr", "reg_srcs", "op", "mem_size", "is_load", "is_store",
+        "is_control", "sched_class", "queue_idx", "arch_srcs", "arch_dst",
+        "seq", "result", "addr", "taken", "next_pc",
+        "src_pregs", "dst_preg", "prev_preg",
         "deps_remaining", "store_dep",
-        "early", "early_value", "removed_load", "addr_known",
-        "mispredicted", "early_resolved", "btb_bubble", "misspec_flush",
-        "fetch_cycle", "rename_cycle", "issue_cycle", "complete_cycle",
+        "early", "removed_load", "addr_known",
+        "mispredicted", "early_resolved", "misspec_flush",
+        "rename_cycle", "issue_cycle", "complete_cycle",
         "completed", "retired", "exec_latency",
     )
 
-    def __init__(self, entry: TraceEntry, fetch_cycle: int):
-        # Entry-based construction, kept for callers (and tests) that
-        # build instructions from individual TraceEntry objects.  The
-        # pipeline's fetch stage uses :meth:`from_packed` instead.
-        self._trace = None
-        self._row = -1
-        self._entry = entry
-        op = OPCODE_ID[entry.instr.opcode]
-        self.op = op
-        self.seq = entry.seq
-        self.pc = entry.pc
-        self.instr = entry.instr
-        self.reg_srcs = entry.instr.reg_sources()
-        self.result = entry.result
-        addr = entry.addr
-        self.addr = NO_ADDR if addr is None else addr
-        taken = entry.taken
-        self.taken = NO_TAKEN if taken is None else (1 if taken else 0)
-        self.next_pc = entry.next_pc
-        self.mem_size = OP_MEM_SIZE[op]
-        self.is_load = OP_IS_LOAD[op]
-        self.is_store = OP_IS_STORE[op]
-        self.is_control = OP_IS_CONTROL[op]
-        self.sched_class: OpClass = OP_CLASS_BY_ID[op]
-        self.queue_idx = OP_QUEUE[op]
-        self.fetch_cycle = fetch_cycle
-        self._init_pipeline_state()
-
-    @classmethod
-    def from_packed(cls, trace: PackedTrace, row: int,
-                    fetch_cycle: int) -> "DynInstr":
-        """Build from one packed-trace row without materializing views."""
-        di = object.__new__(cls)
-        di._trace = trace
-        di._row = row
-        di._entry = None
-        op = trace.ops[row]
-        di.op = op
-        di.seq = trace.seqs[row]
-        di.pc = trace.pcs[row]
-        iidx = trace.iidx[row]
-        di.instr = trace.instrs[iidx]
-        di.reg_srcs = trace.reg_srcs[iidx]
-        di.result = trace.results[row]
-        di.addr = trace.addrs[row]
-        di.taken = trace.takens[row]
-        di.next_pc = trace.next_pcs[row]
-        di.mem_size = OP_MEM_SIZE[op]
-        di.is_load = OP_IS_LOAD[op]
-        di.is_store = OP_IS_STORE[op]
-        di.is_control = OP_IS_CONTROL[op]
-        di.sched_class = OP_CLASS_BY_ID[op]
-        di.queue_idx = OP_QUEUE[op]
-        di.fetch_cycle = fetch_cycle
-        # Pipeline-state defaults, inlined from _init_pipeline_state —
-        # this constructor runs once per fetched instruction.
-        di.src_pregs = ()
-        di.dst_preg = None
-        di.prev_preg = None
-        di.deps_remaining = 0
-        di.store_dep = None
-        di.early = False
-        di.early_value = None
-        di.removed_load = False
-        di.addr_known = False
-        di.mispredicted = False
-        di.early_resolved = False
-        di.btb_bubble = False
-        di.misspec_flush = False
-        di.rename_cycle = -1
-        di.issue_cycle = -1
-        di.complete_cycle = -1
-        di.completed = False
-        di.retired = False
-        di.exec_latency = 0
-        return di
-
-    def _init_pipeline_state(self) -> None:
+    def __init__(self, static: tuple, trace: PackedTrace, row: int):
+        """Row *row* of *trace*, whose static record is *static*."""
+        (self.instr, self.reg_srcs, self.op, self.mem_size, self.is_load,
+         self.is_store, self.is_control, self.sched_class, self.queue_idx,
+         self.arch_srcs, self.arch_dst) = static
+        self._trace = trace
+        self._row = row
+        self.seq = trace.seqs[row]
+        self.result = trace.results[row]
+        self.addr = trace.addrs[row]
+        self.taken = trace.takens[row]
+        self.next_pc = trace.next_pcs[row]
         self.src_pregs: tuple[int, ...] = ()
         self.dst_preg: int | None = None
         self.prev_preg: int | None = None
         self.deps_remaining = 0
-        self.store_dep: "DynInstr | None" = None
+        self.store_dep: DynInstr | None = None
         self.early = False
-        self.early_value: int | None = None
         self.removed_load = False
         self.addr_known = False
         self.mispredicted = False
         self.early_resolved = False
-        self.btb_bubble = False
         self.misspec_flush = False
         self.rename_cycle = -1
         self.issue_cycle = -1
@@ -143,11 +77,8 @@ class DynInstr:
 
     @property
     def entry(self) -> TraceEntry:
-        """The full oracle view, materialized lazily from the trace."""
-        e = self._entry
-        if e is None:
-            e = self._entry = self._trace.entry(self._row)
-        return e
+        """The full oracle view, materialized from the trace row."""
+        return self._trace.entry(self._row)
 
     @property
     def opcode(self):
@@ -162,5 +93,5 @@ class DynInstr:
         if self.mispredicted:
             flags.append("mispred")
         flag_text = f" [{','.join(flags)}]" if flags else ""
-        return (f"DynInstr(#{self.seq} pc={self.pc:#x} "
+        return (f"DynInstr(#{self.seq} pc={self.instr.pc:#x} "
                 f"{self.instr}{flag_text})")

@@ -23,14 +23,25 @@ documented in DESIGN.md):
   semantics); their cache-line touch happens at issue so later loads
   see warm lines.
 
-The pipeline consumes a packed
-:class:`~repro.functional.trace.PackedTrace` directly — the fetch
-stage walks the integer columns by row index and builds
-:class:`DynInstr` records via :meth:`DynInstr.from_packed`, never
-materializing per-entry objects.  Any other iterable of
-:class:`TraceEntry` (a list, a lazy stream) is packed up front by
-``PackedTrace.from_entries``; the columns are a fraction of the size
-of the equivalent entry list, so materializing is cheap.
+The pipeline consumes a :class:`~repro.functional.trace.PackedTrace`
+and nothing else.  The fetch stage walks its integer columns by row
+index and builds each :class:`DynInstr` from one record of the
+trace's static-instruction table (:meth:`PackedTrace.statics
+<repro.functional.trace.PackedTrace.statics>`, built once per trace
+and shared by its slices) plus the row's dynamic columns, never
+materializing per-entry objects.
+
+:meth:`Pipeline.run` is one loop.  Each cycle runs writeback, issue,
+dispatch, rename, fetch and retire inline over local variables; the
+counters stay in locals and reach :class:`PipelineStats` once, when
+the run ends.  Wakeup and completion events wait in per-cycle
+buckets; a bucket is sorted by ``(seq, kind)`` when its cycle is
+written back, which is the ``(cycle, seq, kind)`` order of a single
+event heap.  An event scheduled for a cycle already written back (a
+zero-cycle rename stage) runs at the next writeback, ahead of that
+cycle's own bucket, as it would from the heap.  Each issue queue
+keeps its ready entries in a heap of their own
+(:mod:`repro.uarch.scheduler`).
 
 The per-cycle loop fast-forwards across *provably idle* stretches —
 cycles where no event fires, no queue holds a ready instruction, and
@@ -50,14 +61,13 @@ counts carry one pipeline-fill + drain overhead per segment (see
 
 from __future__ import annotations
 
-import heapq
 import time
 from collections import deque
-from typing import Iterable
+from heapq import heappush
 
-from ..functional.emulator import ArchState, TraceEntry
+from ..functional.emulator import ArchState
 from ..functional.trace import PackedTrace
-from ..isa.opcodes import OP_LATENCY, OPCODE_ID, Opcode, QUEUE_MEM
+from ..isa.opcodes import OP_LATENCY, OPCODE_ID, Opcode
 from .branch_predictor import FrontEndPredictor
 from .caches import MemoryHierarchy
 from .config import MachineConfig
@@ -69,6 +79,7 @@ from .stats import PipelineStats
 
 _BLOCK_SHIFT = 3  # 8-byte blocks for memory-dependence tracking
 
+#: Event kinds, in the order a bucket runs one instruction's events.
 _EV_WAKEUP = 0
 _EV_COMPLETE = 1
 
@@ -84,16 +95,14 @@ class SimulationDeadlock(Exception):
 class Pipeline:
     """One simulated machine executing one dynamic trace."""
 
-    def __init__(self, trace: "PackedTrace | Iterable[TraceEntry]",
-                 config: MachineConfig,
+    def __init__(self, trace: PackedTrace, config: MachineConfig,
                  renamer: Renamer | None = None,
                  prf: PhysRegFile | None = None,
                  arch_state: ArchState | None = None):
         if not isinstance(trace, PackedTrace):
-            trace = PackedTrace.from_entries(trace)
+            raise TypeError(f"Pipeline simulates a PackedTrace, not "
+                            f"{type(trace).__name__}")
         self._trace = trace
-        self._next_row = 0
-        self._n_rows = len(trace)
         self.config = config
         self.prf = prf if prf is not None else PhysRegFile(config.num_pregs)
         if renamer is None:
@@ -109,120 +118,457 @@ class Pipeline:
                                    config.n_complex_ialu, config.n_fpalu,
                                    config.n_agen)
         self.stats = PipelineStats()
-        self.now = 0
-        # front end
-        self._frontend: deque[tuple[int, DynInstr]] = deque()
-        self._frontend_cap = config.frontend_depth * config.fetch_width
-        self._fetch_blocked_by: DynInstr | None = None
-        self._fetch_resume_cycle = 0
-        self._current_fetch_line = -1
-        # rename / dispatch
-        self._dispatch_queue: deque[tuple[int, DynInstr]] = deque()
-        self._dispatch_cap = (config.dispatch_stages + 1) * config.rename_width
-        self._rob: deque[DynInstr] = deque()
-        # execution bookkeeping
-        self._events: list[tuple[int, int, int, DynInstr]] = []
-        self._waiting_on_preg: dict[int, list[DynInstr]] = {}
-        self._waiting_on_store: dict[int, list[DynInstr]] = {}
-        self._last_writer: dict[int, DynInstr] = {}
-        self._last_retire_cycle = 0
         # Optional retirement-side architectural replay: every retired
         # entry is folded into *arch_state* in retirement order, so the
         # differential harness can compare the state this machine's
         # retirement implies against the emulator's final state.
         self._arch_state = arch_state
 
-    # ==================================================================
-    # main loop
-    # ==================================================================
-
     def run(self) -> PipelineStats:
         """Simulate until the trace is exhausted **and** fully drained."""
-        stats = self.stats
-        events = self._events
-        frontend = self._frontend
-        dispatch_queue = self._dispatch_queue
-        rob = self._rob
+        config = self.config
+        trace = self._trace
+        statics = trace.statics()
+        iidx = trace.iidx
+        pcs = trace.pcs
+        n_rows = len(trace)
+        new_instr = DynInstr
+        preg_ready = self.prf.ready
+        preg_values = self.prf.values
+        # The renamer's hooks and the replay hook are looked up at every
+        # run, so a method patched onto the class is the one called.
+        # A hook the renamer leaves at the interface's no-op is skipped.
+        renamer = self.renamer
+        begin_bundle = renamer.begin_bundle
+        bundle_hook = type(renamer).begin_bundle is not Renamer.begin_bundle
+        rename = renamer.rename
+        relieve_pressure = renamer.relieve_pressure
+        on_complete = renamer.on_complete
+        on_store_executed = renamer.on_store_executed
+        store_hook = (type(renamer).on_store_executed
+                      is not Renamer.on_store_executed)
+        on_retire = renamer.on_retire
+        arch_state = self._arch_state
+        apply_di = arch_state.apply_di if arch_state is not None else None
+        hierarchy = self.hierarchy
+        ifetch = hierarchy.ifetch
+        dread = hierarchy.dread
+        dwrite = hierarchy.dwrite
+        predict_op = self.predictor.predict_op
         queues = self.sched.queues_by_idx
-        q0, q1, q2, q3 = queues
-        frontend_cap = self._frontend_cap
-        n_rows = self._n_rows
-        while self._next_row < n_rows or stats.retired < stats.fetched:
-            self.now += 1
-            now = self.now
-            # Each stage call is guarded by the exact condition under
-            # which the stage would do anything (the method bodies
-            # early-return on the same condition, so the guards only
-            # skip no-op calls, never work).
-            if events and events[0][0] <= now:
-                self._writeback()
-            if q0.ready or q3.ready or q1.ready or q2.ready:
-                self._issue()
+        q_int, q_complex, q_fp, q_mem = queues
+        op_latency = OP_LATENCY
+        # configuration
+        fetch_width = config.fetch_width
+        block_mask = ~(fetch_width * 4 - 1)
+        il1_line_shift = config.il1.line_bytes.bit_length() - 1
+        il1_latency = config.il1.latency
+        frontend_depth = config.frontend_depth
+        frontend_cap = frontend_depth * fetch_width
+        btb_miss_penalty = config.btb_miss_penalty
+        rename_width = config.rename_width
+        rob_size = config.rob_size
+        dispatch_cap = (config.dispatch_stages + 1) * rename_width
+        rename_delay = config.effective_rename_stages
+        dispatch_delay = rename_delay + config.dispatch_stages
+        regread = config.regread_stages
+        redirect_penalty = config.redirect_penalty
+        retire_width = config.retire_width
+        # machine state
+        frontend: deque[tuple[int, DynInstr]] = deque()  # (rename at, di)
+        dispatch_queue: deque[tuple[int, DynInstr]] = deque()  # (enter at, di)
+        rob: deque[DynInstr] = deque()
+        buckets: dict[int, list[tuple[int, int, DynInstr]]] = {}
+        late: list[tuple[int, int, DynInstr]] = []
+        waiting_on_preg: dict[int, list[DynInstr]] = {}
+        waiting_on_store: dict[int, list[DynInstr]] = {}
+        last_writer: dict[int, DynInstr] = {}
+        fetch_blocked_by: DynInstr | None = None
+        fetch_resume_cycle = 0
+        fetch_line = -1
+        last_retire_cycle = 0
+        now = 0
+        row = 0  # the next row to fetch, so also the count fetched
+        retired = 0
+        # counters, written to the stats when the run ends
+        fetch_icache_stall_cycles = fetch_blocked_cycles = btb_bubbles = 0
+        recovered_early = 0
+        rename_stall_rob = rename_stall_pregs = rename_stall_dispatch = 0
+        early_executed = early_branches = 0
+        mem_ops = mem_addr_known = loads = loads_removed = 0
+        issued = dcache_accesses = store_forwards_lsq = 0
+        while row < n_rows or retired < row:
+            now += 1
+            # --- writeback: wakeup + completion events ----------------
+            bucket = buckets.pop(now, None) if buckets else None
+            if late:
+                # Scheduled last cycle for a cycle already written back.
+                late.sort()
+                if bucket:
+                    bucket.sort()
+                    late += bucket
+                bucket = late
+                late = []
+            elif bucket:
+                bucket.sort()
+            if bucket:
+                for seq, kind, di in bucket:
+                    if kind == _EV_WAKEUP:
+                        preg = di.dst_preg
+                        if preg is not None:
+                            preg_ready[preg] = True
+                            preg_values[preg] = di.result
+                            waiters = waiting_on_preg.pop(preg, None)
+                            if waiters:
+                                for waiter in waiters:
+                                    # IssueQueue.wake, inline
+                                    left = waiter.deps_remaining - 1
+                                    waiter.deps_remaining = left
+                                    if not left:
+                                        heappush(
+                                            queues[waiter.queue_idx].ready,
+                                            (waiter.seq, waiter))
+                        if di.is_store:
+                            waiters = waiting_on_store.pop(seq, None)
+                            if waiters:
+                                for waiter in waiters:
+                                    left = waiter.deps_remaining - 1
+                                    waiter.deps_remaining = left
+                                    if not left:
+                                        heappush(
+                                            queues[waiter.queue_idx].ready,
+                                            (waiter.seq, waiter))
+                    else:
+                        di.completed = True
+                        di.complete_cycle = now
+                        on_complete(di, now)
+                        if store_hook and di.is_store:
+                            on_store_executed(di)
+                        if di is fetch_blocked_by:
+                            fetch_blocked_by = None
+                            fetch_resume_cycle = now + redirect_penalty
+                            if di.early_resolved:
+                                recovered_early += 1
+            # --- issue / execute --------------------------------------
+            if q_int.ready or q_mem.ready or q_complex.ready or q_fp.ready:
+                for queue in queues:
+                    if not queue.ready:
+                        continue
+                    is_mem = queue is q_mem
+                    for di in queue.select():
+                        if not is_mem:
+                            # A removed load is a register move.
+                            latency = (1 if di.removed_load
+                                       else op_latency[di.op])
+                        else:
+                            agen = 0 if di.addr_known else 1
+                            if di.is_store:
+                                # Write-buffer semantics: touch the line,
+                                # complete quickly.
+                                dwrite(di.addr)
+                                dcache_accesses += 1
+                                latency = agen + 1
+                            else:
+                                store = di.store_dep
+                                if (store is not None and not store.retired
+                                        and store.addr == di.addr
+                                        and store.mem_size == di.mem_size):
+                                    store_forwards_lsq += 1
+                                    latency = agen + 1
+                                else:
+                                    dcache_accesses += 1
+                                    latency = agen + dread(di.addr)
+                        di.issue_cycle = now
+                        di.exec_latency = latency
+                        issued += 1
+                        seq = di.seq
+                        cycle = now + latency
+                        event = (seq, _EV_WAKEUP, di)
+                        if cycle > now:
+                            slot = buckets.get(cycle)
+                            if slot is None:
+                                buckets[cycle] = [event]
+                            else:
+                                slot.append(event)
+                        else:
+                            late.append(event)
+                        cycle += regread
+                        event = (seq, _EV_COMPLETE, di)
+                        if cycle > now:
+                            slot = buckets.get(cycle)
+                            if slot is None:
+                                buckets[cycle] = [event]
+                            else:
+                                slot.append(event)
+                        else:
+                            late.append(event)
+            # --- dispatch: rename exit -> scheduler entry -------------
             if dispatch_queue and dispatch_queue[0][0] <= now:
-                self._dispatch()
+                moved = 0
+                while moved < rename_width and dispatch_queue:
+                    enter, di = dispatch_queue[0]
+                    if enter > now:
+                        break
+                    queue = queues[di.queue_idx]
+                    if queue.count >= queue.capacity:
+                        break
+                    dispatch_queue.popleft()
+                    deps = 0
+                    for preg in di.src_pregs:
+                        if not preg_ready[preg]:
+                            waiters = waiting_on_preg.get(preg)
+                            if waiters is None:
+                                waiting_on_preg[preg] = [di]
+                            elif waiters[-1] is di:
+                                continue  # a repeated source register
+                            else:
+                                waiters.append(di)
+                            deps += 1
+                    store = di.store_dep
+                    # Wait for a store that has not produced its data and
+                    # address yet, or whose wakeup is still in flight.
+                    if store is not None and (
+                            store.issue_cycle < 0
+                            or (not store.completed
+                                and store.issue_cycle + store.exec_latency
+                                > now)):
+                        deps += 1
+                        waiters = waiting_on_store.get(store.seq)
+                        if waiters is None:
+                            waiting_on_store[store.seq] = [di]
+                        else:
+                            waiters.append(di)
+                    # IssueQueue.insert, inline (capacity checked above)
+                    di.deps_remaining = deps
+                    queue.count += 1
+                    if not deps:
+                        heappush(queue.ready, (di.seq, di))
+                    moved += 1
+            # --- rename (+ optimize) ----------------------------------
             if frontend and frontend[0][0] <= now:
-                self._rename()
-            if self._fetch_blocked_by is not None:
-                stats.fetch_blocked_cycles += 1
-            elif now < self._fetch_resume_cycle:
-                stats.fetch_icache_stall_cycles += 1
-            elif self._next_row < n_rows:
-                self._fetch()
-            head = rob[0] if rob else None
-            if (head is not None and head.completed
-                    and head.complete_cycle <= now):
-                self._retire()
-            if self.now - self._last_retire_cycle > _DEADLOCK_WINDOW:
+                renamed = 0
+                began_bundle = not bundle_hook
+                while (renamed < rename_width and frontend
+                       and frontend[0][0] <= now):
+                    if len(rob) >= rob_size:
+                        rename_stall_rob += 1
+                        break
+                    if len(dispatch_queue) >= dispatch_cap:
+                        rename_stall_dispatch += 1
+                        break
+                    di = frontend[0][1]
+                    if not began_bundle:
+                        begin_bundle(now)
+                        began_bundle = True
+                    try:
+                        rename(di, now)
+                    except OutOfRegisters:
+                        if relieve_pressure():
+                            continue  # retry this instruction
+                        rename_stall_pregs += 1
+                        break
+                    frontend.popleft()
+                    renamed += 1
+                    rob.append(di)
+                    if di.misspec_flush and fetch_blocked_by is None:
+                        # An MBC speculative-staleness recovery: like a
+                        # mispredict, fetch is squashed until this load
+                        # resolves.
+                        fetch_blocked_by = di
+                    size = di.mem_size
+                    if size:
+                        mem_ops += 1
+                        if di.addr_known:
+                            mem_addr_known += 1
+                        addr = di.addr
+                        first = addr >> _BLOCK_SHIFT
+                        last = (addr + size - 1) >> _BLOCK_SHIFT
+                        if di.is_store:
+                            for block in range(first, last + 1):
+                                last_writer[block] = di
+                        else:
+                            if di.is_load:
+                                loads += 1
+                            if di.removed_load:
+                                loads_removed += 1
+                            else:
+                                # Depend on the youngest older in-flight
+                                # store that overlaps the load.
+                                best = None
+                                for block in range(first, last + 1):
+                                    store = last_writer.get(block)
+                                    if store is None or store.retired:
+                                        continue
+                                    s_addr = store.addr
+                                    if (s_addr < addr + size
+                                            and addr < s_addr + store.mem_size
+                                            and (best is None
+                                                 or store.seq > best.seq)):
+                                        best = store
+                                di.store_dep = best
+                    if di.early or di.op == _NOP_ID:
+                        if di.early:
+                            early_executed += 1
+                            if di.is_control:
+                                early_branches += 1
+                            if di.mispredicted:
+                                di.early_resolved = True
+                        # Done when rename is: both events, no issue.
+                        seq = di.seq
+                        wakeup = (seq, _EV_WAKEUP, di)
+                        complete = (seq, _EV_COMPLETE, di)
+                        if rename_delay:
+                            cycle = now + rename_delay
+                            slot = buckets.get(cycle)
+                            if slot is None:
+                                buckets[cycle] = [wakeup, complete]
+                            else:
+                                slot.append(wakeup)
+                                slot.append(complete)
+                        else:
+                            late.append(wakeup)
+                            late.append(complete)
+                    else:
+                        dispatch_queue.append((now + dispatch_delay, di))
+            # --- fetch ------------------------------------------------
+            if fetch_blocked_by is not None:
+                fetch_blocked_cycles += 1
+            elif now < fetch_resume_cycle:
+                fetch_icache_stall_cycles += 1
+            elif row < n_rows:
+                frontend_time = now + frontend_depth
+                stop = row + fetch_width
+                if stop > n_rows:
+                    stop = n_rows
+                # Fetch delivers one aligned block per cycle; the next
+                # block starts next cycle.
+                block = pcs[row] & block_mask
+                while row < stop and len(frontend) < frontend_cap:
+                    pc = pcs[row]
+                    if pc & block_mask != block:
+                        break
+                    line = pc >> il1_line_shift
+                    if line != fetch_line:
+                        latency = ifetch(pc)
+                        fetch_line = line
+                        if latency > il1_latency:
+                            # I-cache miss: this group ends; resume
+                            # after the fill.
+                            fetch_resume_cycle = now + latency
+                            break
+                    di = new_instr(statics[iidx[row]], trace, row)
+                    row += 1
+                    frontend.append((frontend_time, di))
+                    if di.is_control:
+                        taken = di.taken
+                        mispredicted, bubble = predict_op(
+                            di.op, di.instr, taken == 1, di.next_pc)
+                        if mispredicted:
+                            di.mispredicted = True
+                            fetch_blocked_by = di
+                            fetch_line = -1
+                            break
+                        if bubble:
+                            btb_bubbles += 1
+                            fetch_resume_cycle = now + btb_miss_penalty
+                            fetch_line = -1
+                            break
+                        if taken:
+                            # Correctly predicted taken: the group ends,
+                            # the next one starts at the target.
+                            fetch_line = -1
+                            break
+            # --- retire -----------------------------------------------
+            # A completed instruction completed this cycle or earlier.
+            if rob and rob[0].completed:
+                count = 0
+                while True:
+                    di = rob.popleft()
+                    di.retired = True
+                    if apply_di is not None:
+                        apply_di(di)
+                    on_retire(di)
+                    if di.is_store:
+                        addr = di.addr
+                        for block in range(addr >> _BLOCK_SHIFT,
+                                           ((addr + di.mem_size - 1)
+                                            >> _BLOCK_SHIFT) + 1):
+                            if last_writer.get(block) is di:
+                                del last_writer[block]
+                    count += 1
+                    if (count >= retire_width or not rob
+                            or not rob[0].completed):
+                        break
+                retired += count
+                last_retire_cycle = now
+            if now - last_retire_cycle > _DEADLOCK_WINDOW:
                 raise SimulationDeadlock(
-                    f"no retirement since cycle {self._last_retire_cycle} "
-                    f"(now {self.now}, retired "
-                    f"{stats.retired}/{stats.fetched} fetched, "
-                    f"rob {len(rob)}, "
-                    f"head {rob[0] if rob else None})")
-            # --- idle-cycle fast-forward -------------------------------
+                    f"no retirement since cycle {last_retire_cycle} "
+                    f"(now {now}, retired {retired}/{row} fetched, "
+                    f"rob {len(rob)}, head {rob[0] if rob else None})")
+            # --- idle-cycle fast-forward ------------------------------
             # If the next cycle provably does nothing, jump straight to
             # the next cycle where anything *can* happen, crediting the
             # per-cycle fetch stall counters for the skipped cycles.
-            if self._next_row >= n_rows and stats.retired >= stats.fetched:
+            if row >= n_rows and retired >= row:
                 break  # drained this cycle; nothing left to skip to
-            nxt = self.now + 1
+            nxt = now + 1
             if frontend and frontend[0][0] <= nxt:
                 continue  # rename (or a rename stall) next cycle
             if rob and rob[0].completed:
                 continue  # retirement can proceed next cycle
-            if q0.ready or q3.ready or q1.ready or q2.ready:
+            if q_int.ready or q_mem.ready or q_complex.ready or q_fp.ready:
                 continue  # issue next cycle
             if dispatch_queue and dispatch_queue[0][0] <= nxt:
                 continue
-            blocked = self._fetch_blocked_by is not None
-            resume = self._fetch_resume_cycle
-            can_fetch = (not blocked and nxt >= resume
-                         and self._next_row < n_rows
-                         and len(frontend) < frontend_cap)
-            if can_fetch:
-                continue
-            target = self._last_retire_cycle + _DEADLOCK_WINDOW + 1
-            if events:
-                target = min(target, events[0][0])
+            if late:
+                continue  # writeback next cycle
+            blocked = fetch_blocked_by is not None
+            fetch_waits = (not blocked and row < n_rows
+                           and len(frontend) < frontend_cap)
+            if fetch_waits and nxt >= fetch_resume_cycle:
+                continue  # fetch next cycle
+            target = last_retire_cycle + _DEADLOCK_WINDOW + 1
+            if buckets:
+                target = min(target, min(buckets))
             if dispatch_queue:
                 target = min(target, dispatch_queue[0][0])
             if frontend:
                 target = min(target, frontend[0][0])
-            if (not blocked and resume > nxt and self._next_row < n_rows
-                    and len(frontend) < frontend_cap):
-                target = min(target, resume)
+            if fetch_waits:
+                target = min(target, fetch_resume_cycle)
             if target <= nxt:
                 continue
-            # Cycles nxt .. target-1 would each have run _fetch and
-            # counted a stall; replicate that bookkeeping in bulk.
+            # Cycles nxt .. target-1 would each have counted a fetch
+            # stall; replicate that bookkeeping in bulk.
             if blocked:
-                stats.fetch_blocked_cycles += target - nxt
-            elif resume > nxt:
-                stats.fetch_icache_stall_cycles += min(target, resume) - nxt
-            self.now = target - 1
-        self.stats.cycles = self.now
+                fetch_blocked_cycles += target - nxt
+            elif fetch_resume_cycle > nxt:
+                fetch_icache_stall_cycles += (min(target, fetch_resume_cycle)
+                                              - nxt)
+            now = target - 1
+        stats = self.stats
+        stats.cycles = now
+        stats.retired = retired
+        stats.fetched = row
+        stats.fetch_icache_stall_cycles = fetch_icache_stall_cycles
+        stats.fetch_blocked_cycles = fetch_blocked_cycles
+        stats.btb_bubbles = btb_bubbles
+        stats.mispredicts_recovered_early = recovered_early
+        stats.rename_stall_rob = rename_stall_rob
+        stats.rename_stall_pregs = rename_stall_pregs
+        stats.rename_stall_dispatch = rename_stall_dispatch
+        stats.early_executed = early_executed
+        stats.early_branches = early_branches
+        stats.mem_ops = mem_ops
+        stats.mem_addr_known = mem_addr_known
+        stats.loads = loads
+        stats.loads_removed = loads_removed
+        stats.issued = issued
+        stats.dcache_accesses = dcache_accesses
+        stats.store_forwards_lsq = store_forwards_lsq
         self._finalize_stats()
-        return self.stats
+        return stats
 
     def _finalize_stats(self) -> None:
         stats = self.stats
@@ -240,350 +586,8 @@ class Pipeline:
         stats.preg_alloc_stalls = self.prf.allocation_stalls
         self.renamer.collect_stats(stats)
 
-    # ==================================================================
-    # writeback: wakeup + completion events
-    # ==================================================================
 
-    def _schedule(self, kind: int, cycle: int, di: DynInstr) -> None:
-        heapq.heappush(self._events, (cycle, di.seq, kind, di))
-
-    def _writeback(self) -> None:
-        events = self._events
-        now = self.now
-        while events and events[0][0] <= now:
-            _, _, kind, di = heapq.heappop(events)
-            if kind == _EV_WAKEUP:
-                self._do_wakeup(di)
-            else:
-                self._do_complete(di)
-
-    def _do_wakeup(self, di: DynInstr) -> None:
-        if di.dst_preg is not None:
-            self.prf.mark_ready(di.dst_preg, di.result)
-            waiters = self._waiting_on_preg.pop(di.dst_preg, None)
-            if waiters:
-                queues = self.sched.queues_by_idx
-                for waiter in waiters:
-                    waiter.deps_remaining -= 1
-                    if waiter.deps_remaining == 0:
-                        queues[waiter.queue_idx].ready += 1
-        if di.is_store:
-            waiters = self._waiting_on_store.pop(di.seq, None)
-            if waiters:
-                queues = self.sched.queues_by_idx
-                for waiter in waiters:
-                    waiter.deps_remaining -= 1
-                    if waiter.deps_remaining == 0:
-                        queues[waiter.queue_idx].ready += 1
-
-    def _do_complete(self, di: DynInstr) -> None:
-        di.completed = True
-        di.complete_cycle = self.now
-        self.renamer.on_complete(di, self.now)
-        if di.is_store:
-            self.renamer.on_store_executed(di)
-        if di is self._fetch_blocked_by:
-            self._fetch_blocked_by = None
-            self._fetch_resume_cycle = self.now + self.config.redirect_penalty
-            if di.early_resolved:
-                self.stats.mispredicts_recovered_early += 1
-
-    # ==================================================================
-    # issue / execute
-    # ==================================================================
-
-    def _issue(self) -> None:
-        now = self.now
-        regread = self.config.regread_stages
-        events = self._events
-        push = heapq.heappush
-        stats = self.stats
-        for di in self.sched.select_all():
-            di.issue_cycle = now
-            stats.issued += 1
-            latency = self._execution_latency(di)
-            di.exec_latency = latency
-            seq = di.seq
-            push(events, (now + latency, seq, _EV_WAKEUP, di))
-            push(events, (now + regread + latency, seq, _EV_COMPLETE, di))
-
-    def _execution_latency(self, di: DynInstr) -> int:
-        if di.queue_idx != QUEUE_MEM:
-            if di.removed_load:
-                return 1  # load converted to a register move
-            return OP_LATENCY[di.op]
-        agen = 0 if di.addr_known else 1
-        if di.is_store:
-            # Write-buffer semantics: touch the line, complete quickly.
-            self.hierarchy.dwrite(di.addr)
-            self.stats.dcache_accesses += 1
-            return agen + 1
-        store_dep = di.store_dep
-        if (store_dep is not None and not store_dep.retired
-                and store_dep.addr == di.addr
-                and store_dep.mem_size == di.mem_size):
-            self.stats.store_forwards_lsq += 1
-            return agen + 1
-        self.stats.dcache_accesses += 1
-        return agen + self.hierarchy.dread(di.addr)
-
-    # ==================================================================
-    # dispatch: rename exit -> scheduler entry
-    # ==================================================================
-
-    def _dispatch(self) -> None:
-        moved = 0
-        queue = self._dispatch_queue
-        now = self.now
-        width = self.config.rename_width
-        queues = self.sched.queues_by_idx
-        while queue and moved < width:
-            enter_cycle, di = queue[0]
-            if enter_cycle > now:
-                break
-            target = queues[di.queue_idx]
-            if len(target._entries) >= target.capacity:
-                target.full_stalls += 1
-                break
-            queue.popleft()
-            self._setup_deps(di)
-            target.insert(di)
-            moved += 1
-
-    def _setup_deps(self, di: DynInstr) -> None:
-        deps = 0
-        src_pregs = di.src_pregs
-        if src_pregs:
-            is_ready = self.prf.is_ready
-            waiting = self._waiting_on_preg
-            for preg in set(src_pregs):
-                if not is_ready(preg):
-                    deps += 1
-                    waiting.setdefault(preg, []).append(di)
-        store_dep = di.store_dep
-        if store_dep is not None:
-            if store_dep.issue_cycle < 0:
-                # Store hasn't produced its data/address yet.
-                deps += 1
-                self._waiting_on_store.setdefault(store_dep.seq,
-                                                  []).append(di)
-            elif not store_dep.completed:
-                # Store issued; its wakeup may still be in flight.
-                wakeup = store_dep.issue_cycle + store_dep.exec_latency
-                if wakeup > self.now:
-                    deps += 1
-                    self._waiting_on_store.setdefault(store_dep.seq,
-                                                      []).append(di)
-        di.deps_remaining = deps
-
-    # ==================================================================
-    # rename (+ optimize)
-    # ==================================================================
-
-    def _rename(self) -> None:
-        config = self.config
-        frontend = self._frontend
-        now = self.now
-        if not frontend or frontend[0][0] > now:
-            return
-        renamer = self.renamer
-        rob = self._rob
-        dispatch_queue = self._dispatch_queue
-        rob_size = config.rob_size
-        dispatch_cap = self._dispatch_cap
-        renamed = 0
-        began_bundle = False
-        while (renamed < config.rename_width and frontend
-               and frontend[0][0] <= now):
-            if len(rob) >= rob_size:
-                self.stats.rename_stall_rob += 1
-                break
-            if len(dispatch_queue) >= dispatch_cap:
-                self.stats.rename_stall_dispatch += 1
-                break
-            di = frontend[0][1]
-            if not began_bundle:
-                renamer.begin_bundle(now)
-                began_bundle = True
-            try:
-                renamer.rename(di, now)
-            except OutOfRegisters:
-                if renamer.relieve_pressure():
-                    continue  # retry this instruction
-                self.stats.rename_stall_pregs += 1
-                break
-            frontend.popleft()
-            renamed += 1
-            rob.append(di)
-            self._post_rename(di)
-
-    def _post_rename(self, di: DynInstr) -> None:
-        """Classify the renamed instruction and route it onward."""
-        config = self.config
-        stats = self.stats
-        rename_done = self.now + config.effective_rename_stages
-        if di.misspec_flush and self._fetch_blocked_by is None:
-            # An MBC speculative-staleness recovery: treat it like a
-            # mispredict — fetch is squashed until this load resolves.
-            self._fetch_blocked_by = di
-        if di.mem_size:
-            stats.mem_ops += 1
-            if di.addr_known:
-                stats.mem_addr_known += 1
-            if di.is_load:
-                stats.loads += 1
-                if di.removed_load:
-                    stats.loads_removed += 1
-            self._track_memory_dependence(di)
-        if di.early:
-            stats.early_executed += 1
-            if di.is_control:
-                stats.early_branches += 1
-            if di.mispredicted:
-                di.early_resolved = True
-            self._schedule(_EV_WAKEUP, rename_done, di)
-            self._schedule(_EV_COMPLETE, rename_done, di)
-            return
-        if di.op == _NOP_ID:
-            self._schedule(_EV_WAKEUP, rename_done, di)
-            self._schedule(_EV_COMPLETE, rename_done, di)
-            return
-        enter = rename_done + config.dispatch_stages
-        self._dispatch_queue.append((enter, di))
-
-    def _track_memory_dependence(self, di: DynInstr) -> None:
-        addr = di.addr
-        size = di.mem_size
-        first_block = addr >> _BLOCK_SHIFT
-        last_block = (addr + size - 1) >> _BLOCK_SHIFT
-        last_writer = self._last_writer
-        if di.is_store:
-            for block in range(first_block, last_block + 1):
-                last_writer[block] = di
-            return
-        # Load: find the youngest older overlapping in-flight store.
-        best: DynInstr | None = None
-        for block in range(first_block, last_block + 1):
-            store = last_writer.get(block)
-            if store is None or store.retired:
-                continue
-            s_addr = store.addr
-            if s_addr < addr + size and addr < s_addr + store.mem_size:
-                if best is None or store.seq > best.seq:
-                    best = store
-        if best is not None and not di.removed_load:
-            di.store_dep = best
-
-    # ==================================================================
-    # fetch
-    # ==================================================================
-
-    def _fetch(self) -> None:
-        config = self.config
-        stats = self.stats
-        if self._fetch_blocked_by is not None:
-            stats.fetch_blocked_cycles += 1
-            return
-        now = self.now
-        if now < self._fetch_resume_cycle:
-            stats.fetch_icache_stall_cycles += 1
-            return
-        row = self._next_row
-        n = self._n_rows
-        if row >= n:
-            return
-        frontend = self._frontend
-        cap = self._frontend_cap
-        trace = self._trace
-        pcs = trace.pcs
-        takens = trace.takens
-        fetch_width = config.fetch_width
-        block_mask = ~(fetch_width * 4 - 1)
-        hierarchy = self.hierarchy
-        line_address = hierarchy.il1.line_address
-        il1_latency = config.il1.latency
-        frontend_time = now + config.frontend_depth
-        from_packed = DynInstr.from_packed
-        fe_append = frontend.append
-        fetched = 0
-        block_start = -1
-        while fetched < fetch_width and row < n and len(frontend) < cap:
-            pc = pcs[row]
-            if block_start < 0:
-                block_start = pc & block_mask
-            elif pc & block_mask != block_start:
-                # Fetch delivers one aligned block per cycle; the next
-                # block starts next cycle.
-                break
-            line = line_address(pc)
-            if line != self._current_fetch_line:
-                latency = hierarchy.ifetch(pc)
-                self._current_fetch_line = line
-                if latency > il1_latency:
-                    # I-cache miss: this group ends; resume after fill.
-                    self._fetch_resume_cycle = now + latency
-                    break
-            di = from_packed(trace, row, now)
-            taken = takens[row]
-            row += 1
-            fe_append((frontend_time, di))
-            stats.fetched += 1
-            fetched += 1
-            if di.is_control:
-                mispredicted, bubble = self.predictor.predict_op(
-                    di.op, di.instr, taken == 1, di.next_pc)
-                di.mispredicted = mispredicted
-                if mispredicted:
-                    self._fetch_blocked_by = di
-                    self._current_fetch_line = -1
-                    break
-                if bubble:
-                    di.btb_bubble = True
-                    stats.btb_bubbles += 1
-                    self._fetch_resume_cycle = (
-                        now + config.btb_miss_penalty)
-                    self._current_fetch_line = -1
-                    break
-                if taken:
-                    # Correctly predicted taken: the fetch group ends,
-                    # the next group starts at the target next cycle.
-                    self._current_fetch_line = -1
-                    break
-        self._next_row = row
-
-    # ==================================================================
-    # retire
-    # ==================================================================
-
-    def _retire(self) -> None:
-        retired = 0
-        rob = self._rob
-        now = self.now
-        arch_state = self._arch_state
-        renamer = self.renamer
-        last_writer = self._last_writer
-        while (rob and retired < self.config.retire_width
-               and rob[0].completed and rob[0].complete_cycle <= now):
-            di = rob.popleft()
-            di.retired = True
-            if arch_state is not None:
-                arch_state.apply_di(di)
-            renamer.on_retire(di)
-            if di.is_store:
-                addr = di.addr
-                first = addr >> _BLOCK_SHIFT
-                last = (addr + di.mem_size - 1) >> _BLOCK_SHIFT
-                for block in range(first, last + 1):
-                    if last_writer.get(block) is di:
-                        del last_writer[block]
-            retired += 1
-            self.stats.retired += 1
-        if retired:
-            self._last_retire_cycle = now
-
-
-def make_pipeline(trace: "PackedTrace | Iterable[TraceEntry]",
-                  config: MachineConfig,
+def make_pipeline(trace: PackedTrace, config: MachineConfig,
                   arch_state: ArchState | None = None) -> Pipeline:
     """Build a :class:`Pipeline` with the config-appropriate renamer.
 
@@ -618,13 +622,13 @@ def _telemetry():
     return _TELEMETRY
 
 
-def simulate_trace(trace: "PackedTrace | Iterable[TraceEntry]",
+def simulate_trace(trace: PackedTrace,
                    config: MachineConfig) -> PipelineStats:
     """Simulate *trace* on *config*'s machine and return its stats.
 
-    *trace* is ideally a :class:`PackedTrace` (what the emulator
-    produces); lists and lazy iterables of entries are packed on
-    entry.  Builds the optimizing renamer when
+    *trace* is a :class:`PackedTrace` (what the emulator produces;
+    ``PackedTrace.from_entries`` packs an entry list).  Builds the
+    optimizing renamer when
     ``config.optimizer.enabled``, otherwise the baseline renamer.
 
     Telemetry sits at per-run granularity (one clock read pair around

@@ -36,14 +36,18 @@ class PhysRegFile:
 
     def __init__(self, num_regs: int):
         self._num_regs = num_regs
-        #: Reference count and allocation version per register.  Hot
-        #: readers (the value-feedback channel) may index these lists
-        #: directly; only this class changes them.
+        #: Reference count and allocation version per register, and the
+        #: free list.  Hot readers (the renamers and the value-feedback
+        #: channel) may read these directly; the renamers also take
+        #: source references by incrementing a live register's count.
+        #: Everything else changes only through this class.
         self.refcounts = [0] * num_regs
         self.versions = [0] * num_regs
-        self._ready = [False] * num_regs
-        self._value: list[int | float | None] = [None] * num_regs
-        self._free: deque[int] = deque(range(num_regs))
+        self.free_list: deque[int] = deque(range(num_regs))
+        #: Written flag and value per register.  The pipeline's
+        #: writeback sets both for the register an instruction writes.
+        self.ready = [False] * num_regs
+        self.values: list[int | float | None] = [None] * num_regs
         self.allocation_stalls = 0
         self.high_water = 0
 
@@ -53,14 +57,14 @@ class PhysRegFile:
 
     @property
     def num_free(self) -> int:
-        return len(self._free)
+        return len(self.free_list)
 
     @property
     def num_regs(self) -> int:
         return self._num_regs
 
     def can_allocate(self, count: int = 1) -> bool:
-        return len(self._free) >= count
+        return len(self.free_list) >= count
 
     def allocate(self) -> int:
         """Take a register off the free list with an initial count of 1.
@@ -68,14 +72,15 @@ class PhysRegFile:
         The initial reference belongs to the architectural RAT mapping.
         Raises :class:`OutOfRegisters` when the free list is empty.
         """
-        if not self._free:
+        free = self.free_list
+        if not free:
             self.allocation_stalls += 1
             raise OutOfRegisters("physical register file exhausted")
-        preg = self._free.popleft()
+        preg = free.popleft()
         self.refcounts[preg] = 1
-        self._ready[preg] = False
-        self._value[preg] = None
-        in_use = self._num_regs - len(self._free)
+        self.ready[preg] = False
+        self.values[preg] = None
+        in_use = self._num_regs - len(free)
         if in_use > self.high_water:
             self.high_water = in_use
         return preg
@@ -94,9 +99,23 @@ class PhysRegFile:
         self.refcounts[preg] = count
         if count == 0:
             self.versions[preg] += 1
-            self._ready[preg] = False
-            self._value[preg] = None
-            self._free.append(preg)
+            self.ready[preg] = False
+            self.values[preg] = None
+            self.free_list.append(preg)
+
+    def release_all(self, pregs) -> None:
+        """:meth:`release` each register of *pregs* in turn."""
+        refcounts = self.refcounts
+        for preg in pregs:
+            count = refcounts[preg] - 1
+            if count < 0:
+                raise ValueError(f"release of already-free register p{preg}")
+            refcounts[preg] = count
+            if count == 0:
+                self.versions[preg] += 1
+                self.ready[preg] = False
+                self.values[preg] = None
+                self.free_list.append(preg)
 
     def is_live(self, preg: int) -> bool:
         """True while *preg* holds at least one reference."""
@@ -115,12 +134,12 @@ class PhysRegFile:
 
     def mark_ready(self, preg: int, value: int | float | None = None) -> None:
         """Record that *preg* has been written."""
-        self._ready[preg] = True
-        self._value[preg] = value
+        self.ready[preg] = True
+        self.values[preg] = value
 
     def is_ready(self, preg: int) -> bool:
-        return self._ready[preg]
+        return self.ready[preg]
 
     def value_of(self, preg: int) -> int | float | None:
         """The written value of *preg* (None if not yet written)."""
-        return self._value[preg]
+        return self.values[preg]

@@ -93,32 +93,41 @@ class BaselineRenamer(Renamer):
     def __init__(self, prf: PhysRegFile):
         self._prf = prf
         self.rat = ArchRAT(prf)
+        # Read per instruction: the RAT list, the reference counts and
+        # the free list, as the classes that own them document.
+        self._map = self.rat.mapping
+        self._refcounts = prf.refcounts
+        self._free = prf.free_list
 
     def rename(self, di: DynInstr, cycle: int) -> None:
-        prf = self._prf
-        instr = di.instr
-        if instr.dst is not None and not is_zero_reg(instr.dst):
-            # Check capacity before taking any references so a failed
-            # rename leaves no state behind.
-            if not prf.can_allocate():
-                raise OutOfRegisters("no free physical registers")
-        src_pregs = []
-        for arch in di.reg_srcs:
-            preg = self.rat.lookup(arch)
-            if preg is None:
-                continue  # zero register: always-ready constant
-            prf.add_ref(preg)
-            src_pregs.append(preg)
-        di.src_pregs = tuple(src_pregs)
-        if instr.dst is not None and not is_zero_reg(instr.dst):
-            new_preg = prf.allocate()
-            di.prev_preg = self.rat.remap(instr.dst, new_preg)
-            di.dst_preg = new_preg
+        dst = di.arch_dst
+        # Check capacity before taking any references so a failed
+        # rename leaves no state behind.
+        if dst >= 0 and not self._free:
+            raise OutOfRegisters("no free physical registers")
+        mapping = self._map
+        srcs = di.arch_srcs
+        if srcs:
+            refcounts = self._refcounts
+            src_pregs = []
+            for arch in srcs:
+                preg = mapping[arch]
+                count = refcounts[preg]
+                if count <= 0:
+                    raise ValueError(f"add_ref on free register p{preg}")
+                refcounts[preg] = count + 1
+                src_pregs.append(preg)
+            di.src_pregs = tuple(src_pregs)
+        if dst >= 0:
+            preg = self._prf.allocate()
+            di.prev_preg = mapping[dst]
+            mapping[dst] = preg
+            di.dst_preg = preg
         di.rename_cycle = cycle
 
     def on_complete(self, di: DynInstr, cycle: int) -> None:
-        for preg in di.src_pregs:
-            self._prf.release(preg)
+        if di.src_pregs:
+            self._prf.release_all(di.src_pregs)
 
     def on_retire(self, di: DynInstr) -> None:
         if di.prev_preg is not None:

@@ -7,10 +7,21 @@ complex integer ALU, 2 FP ALUs, and 2 address-generation units
 
 Each :class:`IssueQueue` holds dispatched instructions until their
 physical-register (and memory-dependence) operands are ready, then
-offers them oldest-first to its functional-unit pool.
+offers them oldest-first to its functional-unit pool.  The queue
+keeps only an occupancy count and a heap of its ready entries ordered
+by sequence number: an entry joins the heap when it is inserted with
+no outstanding dependence or when its last dependence clears
+(:meth:`IssueQueue.wake`), and :meth:`IssueQueue.select`, the issue
+policy, pops the oldest ready entries, so selection never rescans
+waiting entries.  The pipeline calls :meth:`~IssueQueue.select`; its
+dispatch and writeback apply :meth:`~IssueQueue.insert`'s and
+:meth:`~IssueQueue.wake`'s two bookkeeping rules inline, once per
+instruction.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 from ..isa.opcodes import (QUEUE_COMPLEX, QUEUE_FP, QUEUE_INT, QUEUE_MEM,
                            OpClass)
@@ -44,56 +55,49 @@ class IssueQueue:
         self.name = name
         self.capacity = entries
         self.issue_width = issue_width
-        self._entries: list[DynInstr] = []
-        self.full_stalls = 0
-        #: Entries whose operands are all ready.  Maintained by
-        #: :meth:`insert`/:meth:`select` and by the pipeline's wakeup
-        #: handler (which credits the queue when a waiting entry's
-        #: ``deps_remaining`` reaches zero), so :meth:`select` can skip
-        #: scanning queues with nothing selectable.
-        self.ready = 0
+        #: Entries held, waiting or ready.
+        self.count = 0
+        #: Heap of ``(seq, di)`` for the entries whose operands are all
+        #: ready.  A queue with an empty heap has nothing to select.
+        self.ready: list[tuple[int, DynInstr]] = []
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.count
 
     @property
     def has_space(self) -> bool:
-        return len(self._entries) < self.capacity
+        return self.count < self.capacity
 
     def insert(self, di: DynInstr) -> None:
-        if not self.has_space:
+        """Accept *di* with ``deps_remaining`` outstanding dependences."""
+        if self.count >= self.capacity:
             raise RuntimeError(f"scheduler {self.name} overflow")
-        self._entries.append(di)
-        if di.deps_remaining == 0:
-            self.ready += 1
+        self.count += 1
+        if not di.deps_remaining:
+            heappush(self.ready, (di.seq, di))
+
+    def wake(self, di: DynInstr) -> None:
+        """Clear one of *di*'s dependences; at zero it becomes ready."""
+        left = di.deps_remaining - 1
+        di.deps_remaining = left
+        if not left:
+            heappush(self.ready, (di.seq, di))
 
     def select(self) -> list[DynInstr]:
         """Remove and return up to ``issue_width`` ready entries.
 
-        Selection is oldest-first (by sequence number), which the
-        in-order insertion already guarantees for the entry list.
-
-        Always scans — callers that mutate ``deps_remaining`` directly
-        (unit tests) stay correct even when ``ready`` is stale; the
-        pipeline avoids the scan by consulting ``ready`` up front via
-        :meth:`SchedulerBank.select_all`.
+        Selection is oldest-first (by sequence number).
         """
-        selected: list[DynInstr] = []
-        remaining: list[DynInstr] = []
+        ready = self.ready
         width = self.issue_width
-        for di in self._entries:
-            if di.deps_remaining == 0 and len(selected) < width:
-                selected.append(di)
-            else:
-                remaining.append(di)
-        self._entries = remaining
-        self.ready -= len(selected)
-        if self.ready < 0:
-            self.ready = 0
+        selected = []
+        while ready and len(selected) < width:
+            selected.append(heappop(ready)[1])
+        self.count -= len(selected)
         return selected
 
     def occupancy(self) -> int:
-        return len(self._entries)
+        return self.count
 
 
 class SchedulerBank:

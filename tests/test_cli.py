@@ -131,6 +131,13 @@ class TestSweepErrors:
         assert "repro sweep: error:" in err
         assert "expected int, got bool" in err
 
+    def test_unrunnable_machine_exits_nonzero(self, capsys):
+        assert main(["sweep", "--workloads", "mcf", "--quiet",
+                     "--axis", "rob_size=0,160"]) == 2
+        err = capsys.readouterr().err
+        assert "repro sweep: error:" in err
+        assert "rob_size must be >= 1" in err
+
     def test_unknown_workload_exits_nonzero(self, capsys):
         assert main(["sweep", "--workloads", "doom3", "--quiet"]) == 2
         assert "repro sweep: error:" in capsys.readouterr().err

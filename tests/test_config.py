@@ -1,5 +1,7 @@
 """Unit tests for machine/optimizer configuration (paper Table 2)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.uarch import (CacheConfig, MachineConfig, default_config,
@@ -94,3 +96,37 @@ class TestVariants:
     def test_cache_config_validation(self):
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=1000, assoc=3, line_bytes=32, latency=1)
+
+
+class TestRanges:
+    """A machine the pipeline cannot run is rejected when it is built."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("rob_size", 0), ("sched_entries", 0), ("fetch_width", 0),
+        ("rename_width", 0), ("retire_width", 0), ("n_agen", 0),
+        ("frontend_depth", 0), ("rename_stages", -1),
+        ("regread_stages", -1), ("num_pregs", 62), ("num_pregs", 40),
+    ])
+    def test_machine_field_below_minimum(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(default_config(), **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("mbc_entries", 0), ("vf_delay", -1), ("add_depth", -1),
+        ("mem_depth", -1), ("opt_stages", -1),
+    ])
+    def test_optimizer_field_below_minimum(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            default_config().with_optimizer(**{field: value})
+
+    def test_cache_latency_below_minimum(self):
+        with pytest.raises(ValueError, match="latency"):
+            CacheConfig(size_bytes=1024, assoc=2, line_bytes=32,
+                        latency=-1)
+
+    def test_smallest_machine_is_accepted(self):
+        config = replace(default_config(), rob_size=1, sched_entries=1,
+                         fetch_width=1, frontend_depth=1, rename_stages=0,
+                         dispatch_stages=0, regread_stages=0, num_pregs=63)
+        assert config.with_optimizer(opt_stages=0, vf_delay=0,
+                                     mbc_entries=1).num_pregs == 63

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.functional.emulator import TraceEntry
+from repro.functional.trace import PackedTrace, TraceEntry
 from repro.isa import Imm, Opcode, Reg
 from repro.isa.instructions import Instruction
 from repro.isa.program import STACK_BASE
@@ -14,7 +14,8 @@ from repro.uarch.regfile import OutOfRegisters
 def make_di(instr: Instruction, seq: int = 0) -> DynInstr:
     entry = TraceEntry(seq=seq, pc=instr.pc, instr=instr, src_values=(0, 0),
                        result=0, addr=None, taken=None, next_pc=instr.pc + 4)
-    return DynInstr(entry, fetch_cycle=0)
+    trace = PackedTrace.from_entries([entry])
+    return DynInstr(trace.statics()[0], trace, 0)
 
 
 class TestArchRAT:

@@ -1,6 +1,6 @@
 """Unit tests for issue queues and the scheduler bank."""
 
-from repro.functional.emulator import TraceEntry
+from repro.functional.trace import PackedTrace, TraceEntry
 from repro.isa import Opcode, Reg
 from repro.isa.instructions import Instruction
 from repro.uarch import DynInstr, IssueQueue, SchedulerBank, scheduler_for
@@ -15,7 +15,8 @@ def make_di(seq: int, opcode=Opcode.ADD, deps=0) -> DynInstr:
     entry = TraceEntry(seq=seq, pc=instr.pc, instr=instr,
                        src_values=(0, 0), result=0, addr=None, taken=None,
                        next_pc=instr.pc + 4)
-    di = DynInstr(entry, fetch_cycle=0)
+    trace = PackedTrace.from_entries([entry])
+    di = DynInstr(trace.statics()[0], trace, 0)
     di.deps_remaining = deps
     return di
 
@@ -72,7 +73,7 @@ class TestIssueQueue:
         queue.insert(older)
         queue.insert(younger)
         assert [d.seq for d in queue.select()] == [1]
-        older.deps_remaining = 0
+        queue.wake(older)
         assert [d.seq for d in queue.select()] == [0]
 
 

@@ -378,6 +378,24 @@ class TestJobManager:
         assert error.status == 429
         assert retry.status == "finished"
 
+    def test_unrunnable_machine_rejected_at_submit(self, tmp_path):
+        async def scenario():
+            manager = JobManager(store_dir=tmp_path)
+            try:
+                with pytest.raises(ServiceError) as err:
+                    await manager.submit({"kind": "sweep",
+                                          "workloads": ["mcf"],
+                                          "axes": ["rob_size=0,160"]})
+                jobs = manager.list_jobs()
+            finally:
+                await manager.close()
+            return err.value, jobs
+
+        error, jobs = asyncio.run(scenario())
+        assert error.status == 400
+        assert "rob_size must be >= 1" in str(error)
+        assert jobs == []
+
     def test_idle_stream_yields_heartbeats(self, tmp_path):
         async def scenario():
             # one slot: the sweep queues behind the fuzz job and emits
@@ -397,6 +415,49 @@ class TestJobManager:
                             break
                     else:
                         raise AssertionError(f"unexpected {event}")
+                await manager.cancel(blocker.id)
+                await manager.cancel(queued.id)
+            finally:
+                await manager.close()
+            return beats
+
+        assert asyncio.run(scenario()) >= 3
+
+    def test_heartbeats_while_another_job_is_chatty(self, tmp_path):
+        interval = 0.05
+        window = 10 * interval
+
+        async def scenario():
+            # another job's events wake every stream; the queued job's
+            # stream must still get its keep-alives on time
+            manager = JobManager(store_dir=tmp_path,
+                                 max_concurrent_jobs=1)
+            clock = asyncio.get_running_loop().time
+
+            async def chatter(job, until):
+                while clock() < until:
+                    await asyncio.sleep(interval / 2)
+                    manager._append(job, MetricEvent(name="chatter",
+                                                     value=1.0))
+
+            try:
+                # ten times LONG_FUZZ_SPEC: still running when the
+                # window closes (it is cancelled right after)
+                blocker = await manager.submit(dict(LONG_FUZZ_SPEC,
+                                                    seeds=[0, 400]))
+                queued = await manager.submit(dict(SWEEP_SPEC))
+                start = clock()
+                chatty = asyncio.create_task(chatter(blocker,
+                                                     start + window))
+                beats = 0
+                async for event in manager.events(queued.id,
+                                                  heartbeat=interval):
+                    if event is not None:
+                        raise AssertionError(f"unexpected {event}")
+                    if clock() - start > window:
+                        break
+                    beats += 1
+                await chatty
                 await manager.cancel(blocker.id)
                 await manager.cancel(queued.id)
             finally:

@@ -109,7 +109,8 @@ class TestPipelineParity:
         if optimize:
             config = config.with_optimizer()
         from_packed = simulate_trace(trace, config)
-        from_entries = simulate_trace(trace.to_entries(), config)
+        from_entries = simulate_trace(
+            PackedTrace.from_entries(trace.to_entries()), config)
         assert from_packed.to_dict() == from_entries.to_dict()
 
 
