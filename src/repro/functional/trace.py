@@ -122,6 +122,8 @@ def static_record(instr: Instruction, reg_srcs: tuple[int, ...]) -> tuple:
     op = OPCODE_ID[instr.opcode]
     dst = instr.dst
     arch_srcs = tuple(arch for arch in reg_srcs if not is_zero_reg(arch))
+    if arch_srcs == reg_srcs:
+        arch_srcs = reg_srcs  # share the tuple; most drop nothing
     return (instr, reg_srcs, op, OP_MEM_SIZE[op], OP_IS_LOAD[op],
             OP_IS_STORE[op], OP_IS_CONTROL[op], OP_CLASS_BY_ID[op],
             OP_QUEUE[op], arch_srcs,

@@ -6,11 +6,11 @@ default optimizer, and Figure 10's deepest bundle limits — and its
 full :meth:`PipelineStats.to_json` compared against a committed
 snapshot ``tests/golden/<workload>.<label>.json``.  The
 :data:`ZERO_STAGE_CONFIGS` snapshots pin machines with a zero-cycle
-rename, dispatch or register-read stage on a prefix of two workloads.  Any behavioural
-change in the emulator, the assembler, a workload kernel, the
-synthetic generator, the timing model or the optimizer shows up as a
-counter-level diff here — deliberately strict, so unintentional drift
-cannot hide inside an aggregate.
+rename, dispatch or register-read stage on a prefix of two workloads.
+Any behavioural change in the emulator, the assembler, a workload
+kernel, the synthetic generator, the timing model or the optimizer
+shows up as a counter-level diff here — deliberately strict, so
+unintentional drift cannot hide inside an aggregate.
 
 Refreshing after an *intentional* change::
 
