@@ -40,8 +40,10 @@ written back, which is the ``(cycle, seq, kind)`` order of a single
 event heap.  An event scheduled for a cycle already written back (a
 zero-cycle rename stage) runs at the next writeback, ahead of that
 cycle's own bucket, as it would from the heap.  Each issue queue
-keeps its ready entries in a heap of their own
-(:mod:`repro.uarch.scheduler`).
+keeps its ready entries in a heap of their own, from which
+:meth:`SchedulerBank.select_all
+<repro.uarch.scheduler.SchedulerBank.select_all>`, the issue policy,
+takes the oldest.
 
 The per-cycle loop fast-forwards across *provably idle* stretches —
 cycles where no event fires, no queue holds a ready instruction, and
@@ -67,7 +69,7 @@ from heapq import heappush
 
 from ..functional.emulator import ArchState
 from ..functional.trace import PackedTrace
-from ..isa.opcodes import OP_LATENCY, OPCODE_ID, Opcode
+from ..isa.opcodes import OP_LATENCY, OPCODE_ID, QUEUE_MEM, Opcode
 from .branch_predictor import FrontEndPredictor
 from .caches import MemoryHierarchy
 from .config import MachineConfig
@@ -156,6 +158,7 @@ class Pipeline:
         dwrite = hierarchy.dwrite
         predict_op = self.predictor.predict_op
         queues = self.sched.queues_by_idx
+        select_all = self.sched.select_all
         q_int, q_complex, q_fp, q_mem = queues
         op_latency = OP_LATENCY
         # configuration
@@ -219,25 +222,20 @@ class Pipeline:
                             preg_ready[preg] = True
                             preg_values[preg] = di.result
                             waiters = waiting_on_preg.pop(preg, None)
-                            if waiters:
-                                for waiter in waiters:
-                                    # IssueQueue.wake, inline
-                                    left = waiter.deps_remaining - 1
-                                    waiter.deps_remaining = left
-                                    if not left:
-                                        heappush(
-                                            queues[waiter.queue_idx].ready,
-                                            (waiter.seq, waiter))
-                        if di.is_store:
+                        elif di.is_store:  # a store writes no register
                             waiters = waiting_on_store.pop(seq, None)
-                            if waiters:
-                                for waiter in waiters:
-                                    left = waiter.deps_remaining - 1
-                                    waiter.deps_remaining = left
-                                    if not left:
-                                        heappush(
-                                            queues[waiter.queue_idx].ready,
-                                            (waiter.seq, waiter))
+                        else:
+                            continue
+                        if waiters:
+                            # Each waiter has one dependence fewer; one
+                            # with none left is ready to issue.
+                            for waiter in waiters:
+                                left = waiter.deps_remaining - 1
+                                waiter.deps_remaining = left
+                                if not left:
+                                    heappush(
+                                        queues[waiter.queue_idx].ready,
+                                        (waiter.seq, waiter))
                     else:
                         di.completed = True
                         di.complete_cycle = now
@@ -251,57 +249,53 @@ class Pipeline:
                                 recovered_early += 1
             # --- issue / execute --------------------------------------
             if q_int.ready or q_mem.ready or q_complex.ready or q_fp.ready:
-                for queue in queues:
-                    if not queue.ready:
-                        continue
-                    is_mem = queue is q_mem
-                    for di in queue.select():
-                        if not is_mem:
-                            # A removed load is a register move.
-                            latency = (1 if di.removed_load
-                                       else op_latency[di.op])
+                for di in select_all():
+                    if di.queue_idx != QUEUE_MEM:
+                        # A removed load is a register move.
+                        latency = (1 if di.removed_load
+                                   else op_latency[di.op])
+                    else:
+                        agen = 0 if di.addr_known else 1
+                        if di.is_store:
+                            # Write-buffer semantics: touch the line,
+                            # complete quickly.
+                            dwrite(di.addr)
+                            dcache_accesses += 1
+                            latency = agen + 1
                         else:
-                            agen = 0 if di.addr_known else 1
-                            if di.is_store:
-                                # Write-buffer semantics: touch the line,
-                                # complete quickly.
-                                dwrite(di.addr)
-                                dcache_accesses += 1
+                            store = di.store_dep
+                            if (store is not None and not store.retired
+                                    and store.addr == di.addr
+                                    and store.mem_size == di.mem_size):
+                                store_forwards_lsq += 1
                                 latency = agen + 1
                             else:
-                                store = di.store_dep
-                                if (store is not None and not store.retired
-                                        and store.addr == di.addr
-                                        and store.mem_size == di.mem_size):
-                                    store_forwards_lsq += 1
-                                    latency = agen + 1
-                                else:
-                                    dcache_accesses += 1
-                                    latency = agen + dread(di.addr)
-                        di.issue_cycle = now
-                        di.exec_latency = latency
-                        issued += 1
-                        seq = di.seq
-                        cycle = now + latency
-                        event = (seq, _EV_WAKEUP, di)
-                        if cycle > now:
-                            slot = buckets.get(cycle)
-                            if slot is None:
-                                buckets[cycle] = [event]
-                            else:
-                                slot.append(event)
+                                dcache_accesses += 1
+                                latency = agen + dread(di.addr)
+                    di.issue_cycle = now
+                    di.exec_latency = latency
+                    issued += 1
+                    seq = di.seq
+                    cycle = now + latency
+                    event = (seq, _EV_WAKEUP, di)
+                    if cycle > now:
+                        slot = buckets.get(cycle)
+                        if slot is None:
+                            buckets[cycle] = [event]
                         else:
-                            late.append(event)
-                        cycle += regread
-                        event = (seq, _EV_COMPLETE, di)
-                        if cycle > now:
-                            slot = buckets.get(cycle)
-                            if slot is None:
-                                buckets[cycle] = [event]
-                            else:
-                                slot.append(event)
+                            slot.append(event)
+                    else:
+                        late.append(event)
+                    cycle += regread
+                    event = (seq, _EV_COMPLETE, di)
+                    if cycle > now:
+                        slot = buckets.get(cycle)
+                        if slot is None:
+                            buckets[cycle] = [event]
                         else:
-                            late.append(event)
+                            slot.append(event)
+                    else:
+                        late.append(event)
             # --- dispatch: rename exit -> scheduler entry -------------
             if dispatch_queue and dispatch_queue[0][0] <= now:
                 moved = 0
@@ -338,7 +332,6 @@ class Pipeline:
                             waiting_on_store[store.seq] = [di]
                         else:
                             waiters.append(di)
-                    # IssueQueue.insert, inline (capacity checked above)
                     di.deps_remaining = deps
                     queue.count += 1
                     if not deps:

@@ -7,21 +7,18 @@ complex integer ALU, 2 FP ALUs, and 2 address-generation units
 
 Each :class:`IssueQueue` holds dispatched instructions until their
 physical-register (and memory-dependence) operands are ready, then
-offers them oldest-first to its functional-unit pool.  The queue
-keeps only an occupancy count and a heap of its ready entries ordered
-by sequence number: an entry joins the heap when it is inserted with
-no outstanding dependence or when its last dependence clears
-(:meth:`IssueQueue.wake`), and :meth:`IssueQueue.select`, the issue
-policy, pops the oldest ready entries, so selection never rescans
-waiting entries.  The pipeline calls :meth:`~IssueQueue.select`; its
-dispatch and writeback apply :meth:`~IssueQueue.insert`'s and
-:meth:`~IssueQueue.wake`'s two bookkeeping rules inline, once per
-instruction.
+offers them oldest-first to its functional-unit pool.  A queue keeps
+only an occupancy count and a heap of its ready entries ordered by
+sequence number.  The pipeline's dispatch counts an entry in and
+pushes it when it has no outstanding dependence; its writeback pushes
+an entry when the last one clears.  :meth:`SchedulerBank.select_all`,
+the issue policy, pops each queue's oldest ready entries, so
+selection never rescans waiting entries.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop
 
 from ..isa.opcodes import (QUEUE_COMPLEX, QUEUE_FP, QUEUE_INT, QUEUE_MEM,
                            OpClass)
@@ -64,41 +61,6 @@ class IssueQueue:
     def __len__(self) -> int:
         return self.count
 
-    @property
-    def has_space(self) -> bool:
-        return self.count < self.capacity
-
-    def insert(self, di: DynInstr) -> None:
-        """Accept *di* with ``deps_remaining`` outstanding dependences."""
-        if self.count >= self.capacity:
-            raise RuntimeError(f"scheduler {self.name} overflow")
-        self.count += 1
-        if not di.deps_remaining:
-            heappush(self.ready, (di.seq, di))
-
-    def wake(self, di: DynInstr) -> None:
-        """Clear one of *di*'s dependences; at zero it becomes ready."""
-        left = di.deps_remaining - 1
-        di.deps_remaining = left
-        if not left:
-            heappush(self.ready, (di.seq, di))
-
-    def select(self) -> list[DynInstr]:
-        """Remove and return up to ``issue_width`` ready entries.
-
-        Selection is oldest-first (by sequence number).
-        """
-        ready = self.ready
-        width = self.issue_width
-        selected = []
-        while ready and len(selected) < width:
-            selected.append(heappop(ready)[1])
-        self.count -= len(selected)
-        return selected
-
-    def occupancy(self) -> int:
-        return self.count
-
 
 class SchedulerBank:
     """The four issue queues plus per-class issue-width limits."""
@@ -119,16 +81,20 @@ class SchedulerBank:
         self.queues_by_idx[QUEUE_FP] = self.queues[SCHED_FP]
         self.queues_by_idx[QUEUE_MEM] = self.queues[SCHED_MEM]
 
-    def queue_for(self, di: DynInstr) -> IssueQueue:
-        return self.queues_by_idx[di.queue_idx]
-
     def select_all(self) -> list[DynInstr]:
-        """One cycle of select across all queues."""
+        """One cycle of select across all queues.
+
+        Removes and returns up to ``issue_width`` ready entries of each
+        queue, oldest first (by sequence number).
+        """
         issued: list[DynInstr] = []
         for queue in self.queues_by_idx:
-            if queue.ready:
-                issued.extend(queue.select())
+            ready = queue.ready
+            if ready:
+                width = queue.issue_width
+                taken = 0
+                while ready and taken < width:
+                    issued.append(heappop(ready)[1])
+                    taken += 1
+                queue.count -= taken
         return issued
-
-    def total_occupancy(self) -> int:
-        return sum(len(queue) for queue in self.queues.values())
