@@ -176,7 +176,7 @@ class OptimizingRenamer(BaselineRenamer):
                 else:
                     mbc.invalidate_overlap(addr, size)
             self._mbc_pending.clear()
-            self._prf.release_all(self._pending_refs)
+            self._prf.release(*self._pending_refs)
             self._pending_refs.clear()
         self._bundle_id += 1
 
@@ -214,10 +214,7 @@ class OptimizingRenamer(BaselineRenamer):
         base = sym[0]
         new_ref = None
         if base is not None and base != self._map[arch]:
-            refcounts = self._refcounts
-            if refcounts[base] <= 0:
-                raise ValueError(f"add_ref on free register p{base}")
-            refcounts[base] += 1
+            self._add_refs(base)
             new_ref = base
         old_ref = self._sym_refs[arch]
         if old_ref is not None:
@@ -260,20 +257,6 @@ class OptimizingRenamer(BaselineRenamer):
             else:
                 self._set_sym(dst, sym)
         return preg
-
-    def _take_mapping_deps(self, di: DynInstr) -> None:
-        """Depend on the physical mappings of all register sources."""
-        mapping = self._map
-        refcounts = self._refcounts
-        deps = []
-        for arch in di.arch_srcs:
-            preg = mapping[arch]
-            count = refcounts[preg]
-            if count <= 0:
-                raise ValueError(f"add_ref on free register p{preg}")
-            refcounts[preg] = count + 1
-            deps.append(preg)
-        di.src_pregs = tuple(deps)
 
     # ------------------------------------------------------------------
     # verification (Section 4.2: strict expression and value checking)
@@ -373,14 +356,11 @@ class OptimizingRenamer(BaselineRenamer):
                 depth += 1
             base = sym[0]
             if base is not None:
-                refcounts = self._refcounts
-                if refcounts[base] <= 0:
-                    raise ValueError(f"add_ref on free register p{base}")
-                refcounts[base] += 1
-                di.src_pregs = (base,)
+                di.src_pregs = self._add_refs(base)
             self._allocate_dst(di, sym, depth, mem_chain)
             return
-        self._take_mapping_deps(di)
+        di.src_pregs = self._add_refs(*map(self._mapping_of,
+                                           di.arch_srcs))
         self._allocate_dst(di, None)
 
     def _rename_branch(self, di: DynInstr) -> None:
@@ -403,9 +383,9 @@ class OptimizingRenamer(BaselineRenamer):
                 self.stat_early += 1
             else:
                 self.stat_depth_rejections += 1
-                self._take_mapping_deps(di)
-        else:
-            self._take_mapping_deps(di)
+        if not di.early:
+            di.src_pregs = self._add_refs(*map(self._mapping_of,
+                                               di.arch_srcs))
         if self._opt:
             # The zero registers always resolve to a constant, so they
             # never take an inferred value.
@@ -446,7 +426,8 @@ class OptimizingRenamer(BaselineRenamer):
                 di.early = True
                 self.stat_early += 1
                 return
-        self._take_mapping_deps(di)
+        di.src_pregs = self._add_refs(*map(self._mapping_of,
+                                           di.arch_srcs))
 
     def _rename_load(self, di: DynInstr) -> None:
         arch = di.reg_srcs[0]
@@ -464,13 +445,10 @@ class OptimizingRenamer(BaselineRenamer):
         # Address not available at rename: agen depends on the
         # (possibly reassociated) base register.
         if self._opt and base is not None:
-            refcounts = self._refcounts
-            if refcounts[base] <= 0:
-                raise ValueError(f"add_ref on free register p{base}")
-            refcounts[base] += 1
-            di.src_pregs = (base,)
+            di.src_pregs = self._add_refs(base)
         else:
-            self._take_mapping_deps(di)
+            di.src_pregs = self._add_refs(*map(self._mapping_of,
+                                               di.arch_srcs))
         self._allocate_dst(di, None)
 
     def _rename_known_load(self, di: DynInstr, addr: int) -> None:
@@ -542,8 +520,7 @@ class OptimizingRenamer(BaselineRenamer):
         # (base << scale) + offset on a simple ALU.
         di.sched_class = OpClass.INT_SIMPLE
         di.queue_idx = QUEUE_INT
-        self._prf.add_ref(base)
-        di.src_pregs = (base,)
+        di.src_pregs = self._add_refs(base)
         self._allocate_dst(di, sym, 0, 1)
         return True
 
@@ -624,12 +601,7 @@ class OptimizingRenamer(BaselineRenamer):
             if preg is not None:
                 deps.append(preg)
         if deps:
-            refcounts = self._refcounts
-            for preg in deps:
-                if refcounts[preg] <= 0:
-                    raise ValueError(f"add_ref on free register p{preg}")
-                refcounts[preg] += 1
-            di.src_pregs = tuple(deps)
+            di.src_pregs = self._add_refs(*deps)
         if not (addr_known and self._rle_sf):
             return
         # The emulator records a store's data value as the row's
@@ -662,7 +634,8 @@ class OptimizingRenamer(BaselineRenamer):
 
     def _rename_plain(self, di: DynInstr) -> None:
         if di.arch_srcs:
-            self._take_mapping_deps(di)
+            di.src_pregs = self._add_refs(*map(self._mapping_of,
+                                               di.arch_srcs))
         self._allocate_dst(di, None)
 
     # ==================================================================
@@ -671,7 +644,7 @@ class OptimizingRenamer(BaselineRenamer):
 
     def on_complete(self, di: DynInstr, cycle: int) -> None:
         if di.src_pregs:
-            self._prf.release_all(di.src_pregs)
+            self._prf.release(*di.src_pregs)
         preg = di.dst_preg
         if preg is None or not self._publish:
             return

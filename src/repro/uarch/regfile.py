@@ -38,9 +38,8 @@ class PhysRegFile:
         self._num_regs = num_regs
         #: Reference count and allocation version per register, and the
         #: free list.  Hot readers (the renamers and the value-feedback
-        #: channel) may read these directly; the renamers also take
-        #: source references by incrementing a live register's count.
-        #: Everything else changes only through this class.
+        #: channel) may read these directly; they change only through
+        #: this class.
         self.refcounts = [0] * num_regs
         self.versions = [0] * num_regs
         self.free_list: deque[int] = deque(range(num_regs))
@@ -85,26 +84,25 @@ class PhysRegFile:
             self.high_water = in_use
         return preg
 
-    def add_ref(self, preg: int) -> None:
-        """Add one reference to *preg* (must be live)."""
-        if self.refcounts[preg] <= 0:
-            raise ValueError(f"add_ref on free register p{preg}")
-        self.refcounts[preg] += 1
+    def add_refs(self, *pregs: int) -> tuple[int, ...]:
+        """Add one reference to each of *pregs* (all must be live).
 
-    def release(self, preg: int) -> None:
-        """Drop one reference; frees the register at zero."""
-        count = self.refcounts[preg] - 1
-        if count < 0:
-            raise ValueError(f"release of already-free register p{preg}")
-        self.refcounts[preg] = count
-        if count == 0:
-            self.versions[preg] += 1
-            self.ready[preg] = False
-            self.values[preg] = None
-            self.free_list.append(preg)
+        Returns *pregs*, so a renamer takes its sources' references
+        and records them in one step.
+        """
+        refcounts = self.refcounts
+        for preg in pregs:
+            count = refcounts[preg]
+            if count <= 0:
+                raise ValueError(f"add_ref on free register p{preg}")
+            refcounts[preg] = count + 1
+        return pregs
 
-    def release_all(self, pregs) -> None:
-        """:meth:`release` each register of *pregs* in turn."""
+    #: ``add_ref(preg)``: :meth:`add_refs` of one register.
+    add_ref = add_refs
+
+    def release(self, *pregs: int) -> None:
+        """Drop one reference from each of *pregs*; frees each at zero."""
         refcounts = self.refcounts
         for preg in pregs:
             count = refcounts[preg] - 1

@@ -59,8 +59,9 @@ class ArchRAT:
     def __init__(self, prf: PhysRegFile):
         self._prf = prf
         #: ``mapping[arch]`` is the current physical register of
-        #: *arch* (None for the zero registers).  Hot callers may read
-        #: it directly; every change goes through :meth:`remap`.
+        #: *arch* (None for the zero registers).  The renamers read and
+        #: write it directly when they rename a destination;
+        #: :meth:`remap` is the same write for everyone else.
         self.mapping: list[int | None] = [None] * NUM_ARCH_REGS
         for arch in range(NUM_ARCH_REGS):
             if is_zero_reg(arch):
@@ -93,11 +94,12 @@ class BaselineRenamer(Renamer):
     def __init__(self, prf: PhysRegFile):
         self._prf = prf
         self.rat = ArchRAT(prf)
-        # Read per instruction: the RAT list, the reference counts and
-        # the free list, as the classes that own them document.
+        # Read per instruction: the RAT list and the free list, as the
+        # classes that own them document.
         self._map = self.rat.mapping
-        self._refcounts = prf.refcounts
+        self._mapping_of = self._map.__getitem__
         self._free = prf.free_list
+        self._add_refs = prf.add_refs
 
     def rename(self, di: DynInstr, cycle: int) -> None:
         dst = di.arch_dst
@@ -106,18 +108,9 @@ class BaselineRenamer(Renamer):
         if dst >= 0 and not self._free:
             raise OutOfRegisters("no free physical registers")
         mapping = self._map
-        srcs = di.arch_srcs
-        if srcs:
-            refcounts = self._refcounts
-            src_pregs = []
-            for arch in srcs:
-                preg = mapping[arch]
-                count = refcounts[preg]
-                if count <= 0:
-                    raise ValueError(f"add_ref on free register p{preg}")
-                refcounts[preg] = count + 1
-                src_pregs.append(preg)
-            di.src_pregs = tuple(src_pregs)
+        if di.arch_srcs:
+            di.src_pregs = self._add_refs(*map(self._mapping_of,
+                                               di.arch_srcs))
         if dst >= 0:
             preg = self._prf.allocate()
             di.prev_preg = mapping[dst]
@@ -127,7 +120,7 @@ class BaselineRenamer(Renamer):
 
     def on_complete(self, di: DynInstr, cycle: int) -> None:
         if di.src_pregs:
-            self._prf.release_all(di.src_pregs)
+            self._prf.release(*di.src_pregs)
 
     def on_retire(self, di: DynInstr) -> None:
         if di.prev_preg is not None:
