@@ -35,16 +35,12 @@ class GsharePredictor:
         # tables warmed by prior context would.
         self._pht: dict[int, int] = {}
 
-    def predict(self, pc: int) -> bool:
-        """Predict taken/not-taken for the branch at *pc*."""
-        return self._pht.get(((pc >> 2) ^ self._history) & self._mask,
-                             2) >= 2
-
     def update(self, pc: int, taken: bool) -> bool:
-        """Train the counter and shift the global history.
+        """Predict the branch at *pc*, then train on its outcome *taken*.
 
-        Returns the prediction the counter made before training, so
-        the front end predicts and trains with one table lookup.
+        Returns the prediction (taken or not) the counter made before
+        training, and shifts *taken* into the global history, so the
+        front end predicts and trains with one table lookup.
         """
         index = ((pc >> 2) ^ self._history) & self._mask
         pht = self._pht
@@ -71,22 +67,12 @@ class BranchTargetBuffer:
         self._tag_shift = entries.bit_length() - 1
         self._tags: dict[int, tuple[int, int]] = {}  # index -> (tag, target)
 
-    def lookup(self, pc: int) -> int | None:
-        """Return the predicted target for *pc*, or None on a miss."""
-        word = pc >> 2
-        entry = self._tags.get(word & self._index_mask)
-        if entry is not None and entry[0] == word >> self._tag_shift:
-            return entry[1]
-        return None
-
-    def install(self, pc: int, target: int) -> None:
-        """Record *target* as the taken target of the branch at *pc*."""
-        word = pc >> 2
-        self._tags[word & self._index_mask] = (word >> self._tag_shift,
-                                                target)
-
     def update(self, pc: int, target: int) -> int | None:
-        """:meth:`install` *target*; returns what :meth:`lookup` gave."""
+        """Record *target* as the taken target of the branch at *pc*.
+
+        Returns the target the buffer predicted for *pc* before the
+        update, or None on a miss.
+        """
         word = pc >> 2
         index = word & self._index_mask
         tag = word >> self._tag_shift
@@ -162,7 +148,7 @@ class FrontEndPredictor:
             if predicted_taken != actual_taken:
                 self.cond_mispredicts += 1
                 if actual_taken:
-                    self.btb.install(pc, actual_target)
+                    self.btb.update(pc, actual_target)
                 return True, False
             if actual_taken:
                 if self.btb.update(pc, actual_target) != actual_target:

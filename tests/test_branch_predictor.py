@@ -11,13 +11,13 @@ class TestGshare:
         predictor = GsharePredictor(history_bits=8)
         for _ in range(8):
             predictor.update(0x1000, True)
-        assert predictor.predict(0x1000)
+        assert predictor.update(0x1000, True)
 
     def test_learns_always_not_taken(self):
         predictor = GsharePredictor(history_bits=8)
         for _ in range(8):
             predictor.update(0x1000, False)
-        assert not predictor.predict(0x1000)
+        assert not predictor.update(0x1000, False)
 
     def test_two_bit_hysteresis(self):
         predictor = GsharePredictor(history_bits=8)
@@ -29,7 +29,7 @@ class TestGshare:
             predictor.update(pc, True)
             history.append(True)
         # Recreate the index state: same history, same pc.
-        assert predictor.predict(pc)
+        assert predictor.update(pc, True)
 
     def test_alternating_pattern_learned_via_history(self):
         predictor = GsharePredictor(history_bits=8)
@@ -37,9 +37,8 @@ class TestGshare:
         outcomes = [True, False] * 40
         correct = 0
         for outcome in outcomes:
-            if predictor.predict(pc) == outcome:
+            if predictor.update(pc, outcome) == outcome:
                 correct += 1
-            predictor.update(pc, outcome)
         # After warm-up the history disambiguates the alternation.
         assert correct > 60
 
@@ -47,16 +46,15 @@ class TestGshare:
 class TestBTB:
     def test_miss_then_hit(self):
         btb = BranchTargetBuffer(entries=16)
-        assert btb.lookup(0x1000) is None
-        btb.install(0x1000, 0x2000)
-        assert btb.lookup(0x1000) == 0x2000
+        assert btb.update(0x1000, 0x2000) is None
+        assert btb.update(0x1000, 0x2000) == 0x2000
 
     def test_conflict_eviction(self):
         btb = BranchTargetBuffer(entries=16)
-        btb.install(0x1000, 0x2000)
-        btb.install(0x1000 + 16 * 4, 0x3000)  # same index, different tag
-        assert btb.lookup(0x1000) is None
-        assert btb.lookup(0x1000 + 16 * 4) == 0x3000
+        btb.update(0x1000, 0x2000)
+        btb.update(0x1000 + 16 * 4, 0x3000)  # same index, different tag
+        assert btb.update(0x1000 + 16 * 4, 0x3000) == 0x3000
+        assert btb.update(0x1000, 0x2000) is None
 
     def test_power_of_two_required(self):
         import pytest
