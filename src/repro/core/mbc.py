@@ -108,7 +108,7 @@ class MemoryBypassCache:
         entry = MBCEntry(addr=addr, size=size, sym=sym,
                          expected_value=expected_value, is_fp=is_fp)
         if sym.base is not None:
-            self._prf.add_ref(sym.base)
+            self._prf.add_refs((sym.base,))
         key = (addr, size)
         self._entries[key] = entry
         for block in _blocks(addr, size):
@@ -173,7 +173,7 @@ class MemoryBypassCache:
     def _drop(self, key: tuple[int, int]) -> None:
         entry = self._entries.pop(key)
         if entry.sym.base is not None:
-            self._prf.release(entry.sym.base)
+            self._prf.release_all((entry.sym.base,))
         for block in _blocks(entry.addr, entry.size):
             keys = self._by_block.get(block)
             if keys is not None:

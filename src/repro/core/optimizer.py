@@ -176,7 +176,7 @@ class OptimizingRenamer(BaselineRenamer):
                 else:
                     mbc.invalidate_overlap(addr, size)
             self._mbc_pending.clear()
-            self._prf.release(*self._pending_refs)
+            self._prf.release_all(self._pending_refs)
             self._pending_refs.clear()
         self._bundle_id += 1
 
@@ -214,11 +214,11 @@ class OptimizingRenamer(BaselineRenamer):
         base = sym[0]
         new_ref = None
         if base is not None and base != self._map[arch]:
-            self._add_refs(base)
+            self._add_refs((base,))
             new_ref = base
         old_ref = self._sym_refs[arch]
         if old_ref is not None:
-            self._prf.release(old_ref)
+            self._prf.release_all((old_ref,))
         self._syms[arch] = sym
         self._sym_refs[arch] = new_ref
         self._tags[arch] = tag
@@ -247,7 +247,7 @@ class OptimizingRenamer(BaselineRenamer):
                 # nothing.
                 old_ref = self._sym_refs[dst]
                 if old_ref is not None:
-                    self._prf.release(old_ref)
+                    self._prf.release_all((old_ref,))
                     self._sym_refs[dst] = None
                 self._syms[dst] = self._plains[preg]
                 self._tags[dst] = _NO_TAG
@@ -356,11 +356,11 @@ class OptimizingRenamer(BaselineRenamer):
                 depth += 1
             base = sym[0]
             if base is not None:
-                di.src_pregs = self._add_refs(base)
+                di.src_pregs = self._add_refs((base,))
             self._allocate_dst(di, sym, depth, mem_chain)
             return
-        di.src_pregs = self._add_refs(*map(self._mapping_of,
-                                           di.arch_srcs))
+        di.src_pregs = self._add_refs(map(self._mapping_of,
+                                          di.arch_srcs))
         self._allocate_dst(di, None)
 
     def _rename_branch(self, di: DynInstr) -> None:
@@ -384,8 +384,8 @@ class OptimizingRenamer(BaselineRenamer):
             else:
                 self.stat_depth_rejections += 1
         if not di.early:
-            di.src_pregs = self._add_refs(*map(self._mapping_of,
-                                               di.arch_srcs))
+            di.src_pregs = self._add_refs(map(self._mapping_of,
+                                              di.arch_srcs))
         if self._opt:
             # The zero registers always resolve to a constant, so they
             # never take an inferred value.
@@ -426,8 +426,8 @@ class OptimizingRenamer(BaselineRenamer):
                 di.early = True
                 self.stat_early += 1
                 return
-        di.src_pregs = self._add_refs(*map(self._mapping_of,
-                                           di.arch_srcs))
+        di.src_pregs = self._add_refs(map(self._mapping_of,
+                                          di.arch_srcs))
 
     def _rename_load(self, di: DynInstr) -> None:
         arch = di.reg_srcs[0]
@@ -445,10 +445,10 @@ class OptimizingRenamer(BaselineRenamer):
         # Address not available at rename: agen depends on the
         # (possibly reassociated) base register.
         if self._opt and base is not None:
-            di.src_pregs = self._add_refs(base)
+            di.src_pregs = self._add_refs((base,))
         else:
-            di.src_pregs = self._add_refs(*map(self._mapping_of,
-                                               di.arch_srcs))
+            di.src_pregs = self._add_refs(map(self._mapping_of,
+                                              di.arch_srcs))
         self._allocate_dst(di, None)
 
     def _rename_known_load(self, di: DynInstr, addr: int) -> None:
@@ -520,7 +520,7 @@ class OptimizingRenamer(BaselineRenamer):
         # (base << scale) + offset on a simple ALU.
         di.sched_class = OpClass.INT_SIMPLE
         di.queue_idx = QUEUE_INT
-        di.src_pregs = self._add_refs(base)
+        di.src_pregs = self._add_refs((base,))
         self._allocate_dst(di, sym, 0, 1)
         return True
 
@@ -528,7 +528,7 @@ class OptimizingRenamer(BaselineRenamer):
         """Collapse *di* into a RAT remap onto an existing register."""
         di.early = True
         self.stat_early += 1
-        self._prf.add_ref(preg)  # the new architectural-mapping reference
+        self._prf.add_refs((preg,))  # the new architectural-mapping reference
         di.prev_preg = self.rat.remap(di.arch_dst, preg)
         di.dst_preg = None
 
@@ -601,7 +601,7 @@ class OptimizingRenamer(BaselineRenamer):
             if preg is not None:
                 deps.append(preg)
         if deps:
-            di.src_pregs = self._add_refs(*deps)
+            di.src_pregs = self._add_refs(deps)
         if not (addr_known and self._rle_sf):
             return
         # The emulator records a store's data value as the row's
@@ -629,13 +629,13 @@ class OptimizingRenamer(BaselineRenamer):
             (_PENDING_INSERT, addr, size, sym, expected, is_fp))
         base = sym[0]
         if base is not None:
-            self._prf.add_ref(base)
+            self._prf.add_refs((base,))
             self._pending_refs.append(base)
 
     def _rename_plain(self, di: DynInstr) -> None:
         if di.arch_srcs:
-            di.src_pregs = self._add_refs(*map(self._mapping_of,
-                                               di.arch_srcs))
+            di.src_pregs = self._add_refs(map(self._mapping_of,
+                                              di.arch_srcs))
         self._allocate_dst(di, None)
 
     # ==================================================================
@@ -644,7 +644,7 @@ class OptimizingRenamer(BaselineRenamer):
 
     def on_complete(self, di: DynInstr, cycle: int) -> None:
         if di.src_pregs:
-            self._prf.release(*di.src_pregs)
+            self._prf.release_all(di.src_pregs)
         preg = di.dst_preg
         if preg is None or not self._publish:
             return

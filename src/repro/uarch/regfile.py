@@ -84,12 +84,14 @@ class PhysRegFile:
             self.high_water = in_use
         return preg
 
-    def add_refs(self, *pregs: int) -> tuple[int, ...]:
-        """Add one reference to each of *pregs* (all must be live).
+    def add_refs(self, pregs) -> tuple[int, ...]:
+        """Add one reference to each register of *pregs*.
 
-        Returns *pregs*, so a renamer takes its sources' references
-        and records them in one step.
+        Each must be live.  Returns the registers as a tuple, so a
+        renamer takes its sources' references and records them in one
+        step.
         """
+        pregs = tuple(pregs)
         refcounts = self.refcounts
         for preg in pregs:
             count = refcounts[preg]
@@ -98,11 +100,11 @@ class PhysRegFile:
             refcounts[preg] = count + 1
         return pregs
 
-    #: ``add_ref(preg)``: :meth:`add_refs` of one register.
-    add_ref = add_refs
+    def release_all(self, pregs) -> None:
+        """Drop one reference from each register of *pregs*.
 
-    def release(self, *pregs: int) -> None:
-        """Drop one reference from each of *pregs*; frees each at zero."""
+        A register whose count reaches zero returns to the free list.
+        """
         refcounts = self.refcounts
         for preg in pregs:
             count = refcounts[preg] - 1

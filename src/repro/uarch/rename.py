@@ -109,8 +109,8 @@ class BaselineRenamer(Renamer):
             raise OutOfRegisters("no free physical registers")
         mapping = self._map
         if di.arch_srcs:
-            di.src_pregs = self._add_refs(*map(self._mapping_of,
-                                               di.arch_srcs))
+            di.src_pregs = self._add_refs(map(self._mapping_of,
+                                              di.arch_srcs))
         if dst >= 0:
             preg = self._prf.allocate()
             di.prev_preg = mapping[dst]
@@ -120,8 +120,8 @@ class BaselineRenamer(Renamer):
 
     def on_complete(self, di: DynInstr, cycle: int) -> None:
         if di.src_pregs:
-            self._prf.release(*di.src_pregs)
+            self._prf.release_all(di.src_pregs)
 
     def on_retire(self, di: DynInstr) -> None:
         if di.prev_preg is not None:
-            self._prf.release(di.prev_preg)
+            self._prf.release_all((di.prev_preg,))

@@ -48,7 +48,7 @@ class TestLiveness:
         channel = ValueFeedbackChannel(prf, delay=5)
         preg = prf.allocate()
         channel.publish(preg, 42, cycle=0)
-        prf.release(preg)  # recycled before arrival
+        prf.release_all((preg,))  # recycled before arrival
         channel.drain(cycle=5)
         assert channel.lookup(preg) is None
         assert channel.values_dropped_dead == 1
@@ -60,7 +60,7 @@ class TestLiveness:
         channel.publish(preg, 42, cycle=0)
         channel.drain(cycle=0)
         assert channel.lookup(preg) == 42
-        prf.release(preg)
+        prf.release_all((preg,))
         reused = prf.allocate()
         assert reused == preg
         assert channel.lookup(preg) is None  # version mismatch
@@ -72,7 +72,7 @@ class TestLiveness:
         prf = PhysRegFile(1)
         channel = ValueFeedbackChannel(prf, delay=1)
         preg = prf.allocate()
-        prf.release(preg)
+        prf.release_all((preg,))
         channel.publish(preg, 42, cycle=0)
         assert prf.allocate() == preg
         channel.drain(cycle=1)

@@ -60,7 +60,7 @@ class TestPressureRelief:
         for index, preg in enumerate(spare):
             renamer.mbc.insert(0x1000 + 8 * index, 8,
                                symbolic.plain(preg), 0)
-            prf.release(preg)  # only the MBC pin remains
+            prf.release_all((preg,))  # only the MBC pin remains
         assert prf.num_free == 0
         assert renamer.relieve_pressure()
         assert prf.num_free > 0
@@ -72,7 +72,7 @@ class TestPressureRelief:
         held = [prf.allocate() for _ in range(prf.num_free)]
         assert not renamer.relieve_pressure()
         for preg in held:
-            prf.release(preg)
+            prf.release_all((preg,))
 
 
 class TestAblationConfig:

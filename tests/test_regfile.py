@@ -29,46 +29,46 @@ class TestAllocation:
     def test_release_to_zero_frees(self):
         prf = PhysRegFile(1)
         preg = prf.allocate()
-        prf.release(preg)
+        prf.release_all((preg,))
         assert not prf.is_live(preg)
         assert prf.allocate() == preg  # recycled
 
     def test_add_ref_prevents_free(self):
         prf = PhysRegFile(2)
         preg = prf.allocate()
-        prf.add_ref(preg)
-        prf.release(preg)
+        prf.add_refs((preg,))
+        prf.release_all((preg,))
         assert prf.is_live(preg)
-        prf.release(preg)
+        prf.release_all((preg,))
         assert not prf.is_live(preg)
 
     def test_add_ref_on_free_register_rejected(self):
         prf = PhysRegFile(2)
         preg = prf.allocate()
-        prf.release(preg)
+        prf.release_all((preg,))
         with pytest.raises(ValueError):
-            prf.add_ref(preg)
+            prf.add_refs((preg,))
 
     def test_double_release_rejected(self):
         prf = PhysRegFile(2)
         preg = prf.allocate()
-        prf.release(preg)
+        prf.release_all((preg,))
         with pytest.raises(ValueError):
-            prf.release(preg)
+            prf.release_all((preg,))
 
     def test_num_free_tracks(self):
         prf = PhysRegFile(4)
         assert prf.num_free == 4
         preg = prf.allocate()
         assert prf.num_free == 3
-        prf.release(preg)
+        prf.release_all((preg,))
         assert prf.num_free == 4
 
     def test_high_water_mark(self):
         prf = PhysRegFile(8)
         regs = [prf.allocate() for _ in range(5)]
         for preg in regs:
-            prf.release(preg)
+            prf.release_all((preg,))
         assert prf.high_water == 5
 
 
@@ -77,7 +77,7 @@ class TestVersions:
         prf = PhysRegFile(1)
         preg = prf.allocate()
         version = prf.version(preg)
-        prf.release(preg)
+        prf.release_all((preg,))
         prf.allocate()
         assert prf.version(preg) == version + 1
 
@@ -85,8 +85,8 @@ class TestVersions:
         prf = PhysRegFile(2)
         preg = prf.allocate()
         version = prf.version(preg)
-        prf.add_ref(preg)
-        prf.release(preg)
+        prf.add_refs((preg,))
+        prf.release_all((preg,))
         assert prf.version(preg) == version
 
 
@@ -103,7 +103,7 @@ class TestValues:
         prf = PhysRegFile(1)
         preg = prf.allocate()
         prf.mark_ready(preg, 42)
-        prf.release(preg)
+        prf.release_all((preg,))
         preg2 = prf.allocate()
         assert preg2 == preg
         assert not prf.is_ready(preg2)
@@ -121,15 +121,15 @@ class TestRefcountInvariant:
                 if prf.can_allocate():
                     live.append(prf.allocate())
             elif op == "ref" and live:
-                prf.add_ref(live[0])
+                prf.add_refs((live[0],))
                 live.append(live[0])
             elif op == "release" and live:
                 preg = live.pop()
-                prf.release(preg)
+                prf.release_all((preg,))
         # Every live handle corresponds to a live register.
         for preg in live:
             assert prf.is_live(preg)
         # Dropping every handle returns the file to fully free.
         while live:
-            prf.release(live.pop())
+            prf.release_all((live.pop(),))
         assert prf.num_free == 16
