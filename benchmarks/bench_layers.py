@@ -1,4 +1,4 @@
-"""Layer ledger, simulate rows: the baseline vs the optimizing renamer.
+"""Layer ledger: simulate rows, work rows and functional-layer rows.
 
 Measures the timing model's throughput (retired instructions per
 second) on mcf, gcc and synth:branchy at scale 1, once with the
@@ -15,25 +15,41 @@ opcode events, or ``sys.monitoring`` INSTRUCTION events on CPython
 counts are exact and repeat run to run, but differ between CPython
 versions, so they are keyed by ``major.minor``.
 
+The functional rows cover the layer under the timing model: emulate
+insns/s (``run_program`` on an assembled program, best of
+``ROUNDS``), the bytes a freshly built trace holds per row (a
+``tracemalloc`` count, exact run to run), its pickled bytes per row,
+and ``ArtifactStore.save_trace``/``load_trace`` MB/s on a temporary
+store (best of ``ROUNDS``).
+
 ``BEFORE`` keeps the throughput rows as measured before the
-optimizer's table-driven fast path and ``WORK_BEFORE`` the work rows
-before the fused cycle loop (same script, same 2-CPU container), so
-the published ``BENCH_layers.json`` carries the before/after pairs.
-There is deliberately no gate: on a shared 2-CPU container the
-optimizer/baseline ratio moves by more between runs than a regression
-gate could tolerate, and the work counts are a ledger, not a check.
+optimizer's table-driven fast path, ``WORK_BEFORE`` the work rows
+before the fused cycle loop and ``FUNCTIONAL_BEFORE`` the functional
+rows before the trace dropped its derived and source-value columns
+(same script, same 2-CPU container), so the published
+``BENCH_layers.json`` carries the before/after pairs.  The one gate is
+a count: mcf's trace may hold at most ``MAX_TRACE_BYTES_PER_ROW``
+bytes per row.  There is deliberately no timing gate: on a shared
+2-CPU container the optimizer/baseline ratio moves by more between
+runs than a regression gate could tolerate, and the work counts are a
+ledger, not a check.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
+import tempfile
 import time
+import tracemalloc
 
 from conftest import publish
 
+from repro.engine.store import ArtifactStore
+from repro.functional import run_program
 from repro.uarch.config import default_config, optimized_config
 from repro.uarch.pipeline import make_pipeline, simulate_trace
-from repro.workloads import build_trace
+from repro.workloads import build_program, build_trace
 
 WORKLOADS = ("mcf", "gcc", "synth:branchy")
 SMOKE_WORKLOADS = ("mcf",)
@@ -81,6 +97,81 @@ WORK_BEFORE = {
                                         "calls_per_insn": 32.4}},
     },
 }
+
+
+#: mcf's freshly built trace may hold at most this many bytes per row
+#: (CI's bench-smoke job re-checks the published smoke value).
+MAX_TRACE_BYTES_PER_ROW = 64
+GATED_WORKLOAD = "mcf"
+
+#: The functional rows before the trace kept only its five row columns
+#: (it also held seq, pc, opcode and source-value columns), CPython
+#: 3.11, best of 3; each timing is the better of two runs.
+FUNCTIONAL_BEFORE = {
+    "mcf": {"insns": 24215, "emulate_seconds": 0.0539,
+            "emulate_insns_per_s": 449612.2, "trace_bytes_per_row": 119.1,
+            "pickled_bytes_per_row": 51.5, "save_seconds": 0.00937,
+            "load_seconds": 0.00798, "save_mb_per_s": 133.0,
+            "load_mb_per_s": 156.1},
+    "gcc": {"insns": 24462, "emulate_seconds": 0.0562,
+            "emulate_insns_per_s": 435033.5, "trace_bytes_per_row": 128.9,
+            "pickled_bytes_per_row": 53.9, "save_seconds": 0.00659,
+            "load_seconds": 0.00788, "save_mb_per_s": 200.1,
+            "load_mb_per_s": 167.4},
+    "synth:branchy": {"insns": 22658, "emulate_seconds": 0.0473,
+                      "emulate_insns_per_s": 478885.3,
+                      "trace_bytes_per_row": 127.8,
+                      "pickled_bytes_per_row": 54.7,
+                      "save_seconds": 0.00911, "load_seconds": 0.00618,
+                      "save_mb_per_s": 136.0, "load_mb_per_s": 200.6},
+}
+
+
+def _trace_footprint(name: str):
+    """A freshly built trace of *name* and the bytes it holds."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = build_trace(name).trace
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return trace, held
+
+
+def _best(fn, rounds: int) -> float:
+    """Fastest of *rounds* calls of *fn*, in seconds."""
+    best = float("inf")
+    for _ in range(rounds):
+        started = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def _functional_row(name: str, rounds: int) -> dict:
+    """Emulate speed, trace footprint and store I/O for *name*."""
+    program = build_program(name)
+    emulate_s = _best(lambda: run_program(program), rounds)
+    trace, held = _trace_footprint(name)
+    rows = len(trace)
+    with tempfile.TemporaryDirectory() as root:
+        store = ArtifactStore(root)
+        path = store.save_trace(name, 1, trace)
+        save_s = _best(lambda: store.save_trace(name, 1, trace), rounds)
+        load_s = _best(lambda: store.load_trace(name, 1), rounds)
+        size = path.stat().st_size
+    return {"insns": rows,
+            "emulate_seconds": round(emulate_s, 4),
+            "emulate_insns_per_s": round(rows / emulate_s, 1),
+            "trace_bytes_per_row": round(held / rows, 1),
+            "pickled_bytes_per_row": round(size / rows, 1),
+            "save_seconds": round(save_s, 5),
+            "load_seconds": round(load_s, 5),
+            "save_mb_per_s": round(size / save_s / 1e6, 1),
+            "load_mb_per_s": round(size / load_s / 1e6, 1)}
 
 
 def _run_counting_settrace(pipeline) -> tuple[int, int, int]:
@@ -172,7 +263,7 @@ def _total(rows: dict) -> dict:
                               "optimized_seconds")))
 
 
-def test_simulate_layers(benchmark, smoke):
+def test_layers(benchmark, smoke):
     workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
     rounds = SMOKE_ROUNDS if smoke else ROUNDS
     traces = {name: build_trace(name).trace for name in workloads}
@@ -227,6 +318,28 @@ def test_simulate_layers(benchmark, smoke):
               f"{'':14s} {'renamer':10s} {'bytecodes':>9s} {'calls':>6s}"]
     lines += [work_line(name, label) for name in work
               for label in ("baseline", "optimized")]
+
+    functional = {name: _functional_row(name, rounds) for name in workloads}
+    functional_before = {} if smoke else FUNCTIONAL_BEFORE
+
+    def functional_line(label, row):
+        return (f"{label:14s} {row['emulate_insns_per_s']:>10,.0f} "
+                f"{row['trace_bytes_per_row']:>7.1f} "
+                f"{row['pickled_bytes_per_row']:>7.1f} "
+                f"{row['save_mb_per_s']:>6.1f} {row['load_mb_per_s']:>6.1f}")
+
+    lines += ["", f"functional layer, best of {rounds}",
+              f"{'':14s} {'emulate/s':>10s} {'B/row':>7s} {'pickle':>7s} "
+              f"{'save':>6s} {'load':>6s}  (trace bytes per row; "
+              f"store MB/s)"]
+    for name, row in functional.items():
+        lines.append(functional_line(name, row))
+        if name in functional_before:
+            lines.append(functional_line("  before",
+                                         functional_before[name]))
+    gated = functional[GATED_WORKLOAD]["trace_bytes_per_row"]
+    lines.append(f"{GATED_WORKLOAD} trace bytes per row: {gated:.1f} "
+                 f"(gate <= {MAX_TRACE_BYTES_PER_ROW})")
     publish("layers", "\n".join(lines), smoke, data={
         "workloads": list(workloads),
         "rounds": rounds,
@@ -237,4 +350,10 @@ def test_simulate_layers(benchmark, smoke):
         "work_rows": work_rows,
         "work_per_insn": {python: work},
         "work_before": WORK_BEFORE,
+        "functional": functional,
+        "functional_before": FUNCTIONAL_BEFORE,
+        "max_trace_bytes_per_row": MAX_TRACE_BYTES_PER_ROW,
     })
+    assert gated <= MAX_TRACE_BYTES_PER_ROW, (
+        f"{GATED_WORKLOAD} trace holds {gated:.1f} bytes per row "
+        f"> {MAX_TRACE_BYTES_PER_ROW}")

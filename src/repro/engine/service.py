@@ -1041,13 +1041,16 @@ class JobManager:
                 continue
             remaining = deadline - clock()
             if remaining > 0:
+                # Not wait_for: on 3.11 it returns normally when this
+                # task is cancelled in the iteration the waiter fires,
+                # losing the cancellation.  asyncio.wait always raises.
+                wake = asyncio.ensure_future(waiter.wait())
                 try:
-                    await asyncio.wait_for(waiter.wait(), remaining)
+                    done, _ = await asyncio.wait({wake}, timeout=remaining)
+                finally:
+                    wake.cancel()
+                if done:
                     continue
-                # asyncio.TimeoutError only merged into the builtin
-                # on 3.11; setup.py still supports 3.10
-                except (TimeoutError, asyncio.TimeoutError):
-                    pass
             yield None
             deadline = clock() + heartbeat
 

@@ -64,9 +64,11 @@ from .telemetry import TELEMETRY
 
 #: Bump when the trace / PipelineStats schema changes.
 #: v2: traces are pickled :class:`PackedTrace` columns instead of
-#: ``list[TraceEntry]``.  v1 artifacts simply miss under the new keys
-#: and are re-derived (then reclaimed by LRU gc) — no migration step.
-FORMAT_VERSION = 2
+#: ``list[TraceEntry]``.  v3: a trace keeps five row columns and a
+#: ``first_seq``, without the seq, pc, opcode and source-value
+#: columns.  Older artifacts simply miss under the new keys and are
+#: re-derived (then reclaimed by LRU gc) — no migration step.
+FORMAT_VERSION = 3
 
 #: Fixed pickle protocol so identical traces serialize byte-identically
 #: regardless of the interpreter's default.

@@ -1,7 +1,11 @@
 """Architectural (functional) emulator and dynamic trace format.
 
 The emulator executes a :class:`~repro.isa.program.Program` and records
-one trace row per retired instruction.  The trace is both
+one trace row per retired instruction: its static-instruction index,
+result (a store's data value), effective address, branch outcome and
+next pc.  A row's seq and pc follow from its index and its static
+instruction, and the source values an instruction read are not kept.
+The trace is both
 
 * the **oracle**: true values, effective addresses, and branch outcomes
   used to verify every optimization the continuous optimizer performs
@@ -149,11 +153,11 @@ class ArchState:
         instr = entry.instr
         spec = instr.spec
         if spec.is_store:
+            # the emulator records a store's data value as its result
             if instr.opcode is Opcode.STF:
-                self.memory.store_double(entry.addr,
-                                         float(entry.store_value))
+                self.memory.store_double(entry.addr, float(entry.result))
             else:
-                self.memory.store(entry.addr, int(entry.store_value),
+                self.memory.store(entry.addr, int(entry.result),
                                   spec.mem_size)
         elif instr.dst is not None and entry.result is not None:
             dst = instr.dst
@@ -167,16 +171,12 @@ class ArchState:
     def apply_di(self, di) -> None:
         """:meth:`apply` from a pipeline ``DynInstr``'s direct fields.
 
-        Equivalent to ``apply(di.entry)`` without materializing the
-        entry: the emulator records a store's data value as the row's
-        ``result``, so ``store_value == result`` by construction, and
-        ``arch_dst`` is the destination with the zero registers
-        already dropped.
+        Equivalent to :meth:`apply` on the row's entry view without
+        materializing it: ``arch_dst`` is the destination with the
+        zero registers already dropped.
         """
         if di.is_store:
             value = di.result
-            if value is None:  # hand-built entries may omit it
-                value = di.entry.store_value
             if di.op == _STF_ID:
                 self.memory.store_double(di.addr, float(value))
             else:
@@ -320,9 +320,9 @@ def _decode_instr(instr: Instruction) -> tuple:
 def decode_program(program: Program) -> tuple:
     """Pre-decoded handler records for *program*, built once and cached.
 
-    Returns ``(decoded, reg_srcs, op_table, pc_table)``: the decode
-    tuples, per-instruction register-source tuples, opcode ids, and
-    byte PCs — all indexed by instruction index.
+    Returns ``(decoded, reg_srcs)``: the decode tuples and the
+    per-instruction register-source tuples, both indexed by
+    instruction index.
     """
     cached = program.__dict__.get("_packed_decode")
     if cached is not None:
@@ -331,9 +331,7 @@ def decode_program(program: Program) -> tuple:
     instructions = program.instructions
     decoded = tuple(_decode_instr(instr) for instr in instructions)
     reg_srcs = [instr.reg_sources() for instr in instructions]
-    op_table = [OPCODE_ID[instr.opcode] for instr in instructions]
-    pc_table = [TEXT_BASE + i * INSTR_BYTES for i in range(len(instructions))]
-    cached = (decoded, reg_srcs, op_table, pc_table)
+    cached = (decoded, reg_srcs)
     program._packed_decode = cached
     note_dispatch_build(time.perf_counter() - started)
     return cached
@@ -401,8 +399,9 @@ class Emulator:
         same number of items from :meth:`iter_trace`, but executed by
         the table-dispatch loop.
         """
-        decoded, reg_srcs, op_table, pc_table = decode_program(self._program)
-        trace = PackedTrace(self._program.instructions, reg_srcs)
+        decoded, reg_srcs = decode_program(self._program)
+        trace = PackedTrace(self._program.instructions, reg_srcs,
+                            first_seq=self._instret)
         if self._halted or max_entries == 0:
             return trace
         # local bindings for the hot loop
@@ -411,7 +410,6 @@ class Emulator:
         taken_ap = trace.takens.append
         npc_ap = trace.next_pcs.append
         res_ap = trace.results.append
-        src_ap = trace.srcvals.append
         int_regs = self._int_regs
         fp_regs = self._fp_regs
         memory = self._memory
@@ -422,7 +420,6 @@ class Emulator:
         to_s64 = alu.to_signed64
         pc = self._pc
         instret = self._instret
-        start_seq = instret
         max_instructions = self._max_instructions
         n = len(decoded)
         halted = False
@@ -458,7 +455,6 @@ class Emulator:
                             fp_regs[p1] if m1 == 2 else (
                                 0 if m1 == 3 else 0.0)))
                     result = d[2](a, b)
-                    src_ap((a, b))
                 elif kind == _K_LOAD:
                     m0 = d[3]
                     p0 = d[4]
@@ -473,7 +469,6 @@ class Emulator:
                         raise EmulationError(
                             f"load from negative address {addr:#x}")
                     result = mload(addr, d[2], d[10])
-                    src_ap((base,))
                 elif kind == _K_STORE:
                     m0 = d[3]
                     p0 = d[4]
@@ -495,7 +490,6 @@ class Emulator:
                             f"store to negative address {addr:#x}")
                     mstore(addr, int(data), d[2])
                     result = data
-                    src_ap((data, base))
                 elif kind == _K_BR_COND:
                     m0 = d[3]
                     p0 = d[4]
@@ -508,7 +502,6 @@ class Emulator:
                         next_pc = d[10]
                     else:
                         taken = 0
-                    src_ap((v,))
                 elif kind == _K_FN1:
                     m0 = d[3]
                     p0 = d[4]
@@ -517,7 +510,6 @@ class Emulator:
                             fp_regs[p0] if m0 == 2 else (
                                 0 if m0 == 3 else 0.0)))
                     result = d[2](a)
-                    src_ap((a,))
                 elif kind == _K_LDA:
                     m0 = d[3]
                     p0 = d[4]
@@ -528,16 +520,13 @@ class Emulator:
                     result = a + d[9]
                     if result > _INT64_MAX or result < _INT64_MIN:
                         result = to_s64(result)
-                    src_ap((a,))
                 elif kind == _K_BR:
                     taken = 1
                     next_pc = d[10]
-                    src_ap(())
                 elif kind == _K_JSR:
                     taken = 1
                     next_pc = d[10]
                     result = pc + 4
-                    src_ap(())
                 elif kind == _K_JMP_IND:
                     m0 = d[3]
                     p0 = d[4]
@@ -547,7 +536,6 @@ class Emulator:
                                 0 if m0 == 3 else 0.0)))
                     taken = 1
                     next_pc = int(v)
-                    src_ap((v,))
                 elif kind == _K_LOAD_F:
                     m0 = d[3]
                     p0 = d[4]
@@ -562,7 +550,6 @@ class Emulator:
                         raise EmulationError(
                             f"load from negative address {addr:#x}")
                     result = mload_d(addr)
-                    src_ap((base,))
                 elif kind == _K_STORE_F:
                     m0 = d[3]
                     p0 = d[4]
@@ -584,9 +571,8 @@ class Emulator:
                             f"store to negative address {addr:#x}")
                     mstore_d(addr, float(data))
                     result = data
-                    src_ap((data, base))
                 elif kind == _K_NOP:
-                    src_ap(())
+                    pass
                 else:  # _K_HALT
                     halted = True
                     break
@@ -609,15 +595,6 @@ class Emulator:
             self._instret = instret
             if halted:
                 self._halted = True
-        # Derived columns, filled in bulk: seq is consecutive from the
-        # window's first instruction; opcode id and pc follow from the
-        # static-instruction index.
-        count = len(trace.iidx)
-        trace.seqs.extend(range(start_seq, start_seq + count))
-        trace.ops = trace.ops.__class__(
-            "B", map(op_table.__getitem__, trace.iidx))
-        trace.pcs = trace.pcs.__class__(
-            "q", map(pc_table.__getitem__, trace.iidx))
         note_packed_build(trace)
         return trace
 
@@ -721,9 +698,8 @@ class Emulator:
         if instr.dst is not None and result is not None:
             self._write(instr.dst, result)
 
-        entry = TraceEntry(seq=seq, pc=self._pc, instr=instr,
-                           src_values=src_values, result=result, addr=addr,
-                           taken=taken, next_pc=next_pc)
+        entry = TraceEntry(seq=seq, pc=self._pc, instr=instr, result=result,
+                           addr=addr, taken=taken, next_pc=next_pc)
         self._pc = next_pc
         return entry
 

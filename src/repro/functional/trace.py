@@ -5,14 +5,17 @@ Two representations of the same dynamic instruction stream live here:
 * :class:`TraceEntry` — one frozen record per retired instruction,
   the original (and still public) per-entry view.
 * :class:`PackedTrace` — the storage format the emulator produces and
-  the pipeline consumes: parallel integer columns (``array('q')`` /
-  ``array('b')``) for seq, pc, opcode id, effective address, branch
-  outcome and next-pc, plus object columns for results and source
-  values, and a shared static-instruction table.  Entries materialize
-  lazily into :class:`TraceEntry` views on demand (``trace[i]``),
-  slices stay packed, and the columns pickle far more compactly than
-  a list of frozen dataclasses — which is what the artifact store and
-  the segment planner ship across worker processes.
+  the pipeline consumes: a shared static-instruction table plus one
+  row per dynamic instruction holding only what nothing else
+  supplies — the static-instruction index (``array('q')``), the
+  effective address, the branch outcome (``array('b')``), the next
+  pc, and the result (an object column).  Row *i* is dynamic
+  instruction ``first_seq + i``; its pc and opcode come from its
+  static instruction.  Entries materialize lazily into
+  :class:`TraceEntry` views on demand (``trace[i]``), slices stay
+  packed, and the columns pickle far more compactly than a list of
+  frozen dataclasses — which is what the artifact store and the
+  segment planner ship across worker processes.
 
 The hot loops never touch :class:`TraceEntry`: the emulator appends
 straight into the columns and the pipeline's fetch stage reads them
@@ -45,7 +48,6 @@ class TraceEntry:
     seq: int
     pc: int
     instr: Instruction
-    src_values: tuple[int | float, ...]
     result: int | float | None
     addr: int | None
     taken: bool | None
@@ -69,10 +71,10 @@ class TraceEntry:
 
     @property
     def store_value(self) -> int | float:
-        """The value a store writes to memory."""
+        """The value a store writes to memory (recorded as its result)."""
         if not self.is_store:
             raise ValueError("store_value on a non-store")
-        return self.src_values[0]
+        return self.result
 
 
 #: Lazily bound telemetry registry (the functional layer must not
@@ -139,12 +141,12 @@ class PackedTrace:
     table), iteration, and equality against entry lists.
     """
 
-    __slots__ = ("instrs", "reg_srcs", "seqs", "pcs", "ops", "iidx",
-                 "addrs", "takens", "next_pcs", "results", "srcvals",
-                 "_statics")
+    __slots__ = ("instrs", "reg_srcs", "first_seq", "iidx", "addrs",
+                 "takens", "next_pcs", "results", "_statics")
 
     def __init__(self, instrs: list[Instruction],
-                 reg_srcs: list[tuple[int, ...]] | None = None):
+                 reg_srcs: list[tuple[int, ...]] | None = None,
+                 first_seq: int = 0):
         #: Static-instruction table; ``iidx`` indexes into it.  For
         #: emulator-built traces this is the program's instruction list.
         self.instrs = instrs
@@ -152,15 +154,14 @@ class PackedTrace:
         #: (the rename stage reads these once per dynamic instruction).
         self.reg_srcs = (reg_srcs if reg_srcs is not None
                          else [i.reg_sources() for i in instrs])
-        self.seqs = array("q")
-        self.pcs = array("q")
-        self.ops = array("B")
+        #: The dynamic sequence number of row 0; row *i* is
+        #: ``first_seq + i``.
+        self.first_seq = first_seq
         self.iidx = array("q")
         self.addrs = array("q")
         self.takens = array("b")
         self.next_pcs = array("q")
         self.results: list[int | float | None] = []
-        self.srcvals: list[tuple[int | float, ...]] = []
         # A one-element cell for the static-instruction records, so
         # slices share the table whichever of them builds it first.
         self._statics: list = [None]
@@ -168,7 +169,7 @@ class PackedTrace:
     # -- sequence protocol --------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.seqs)
+        return len(self.iidx)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -177,12 +178,14 @@ class PackedTrace:
 
     def entry(self, i: int) -> TraceEntry:
         """Materialize the :class:`TraceEntry` view of row *i*."""
+        instr = self.instrs[self.iidx[i]]
+        if i < 0:
+            i += len(self.iidx)
         addr = self.addrs[i]
         taken = self.takens[i]
         return TraceEntry(
-            seq=self.seqs[i], pc=self.pcs[i],
-            instr=self.instrs[self.iidx[i]],
-            src_values=self.srcvals[i], result=self.results[i],
+            seq=self.first_seq + i, pc=instr.pc, instr=instr,
+            result=self.results[i],
             addr=None if addr == NO_ADDR else addr,
             taken=None if taken == NO_TAKEN else bool(taken),
             next_pc=self.next_pcs[i])
@@ -201,37 +204,37 @@ class PackedTrace:
         return table
 
     def slice(self, sl: slice) -> "PackedTrace":
-        """A packed sub-trace sharing this trace's instruction table."""
+        """A packed sub-trace sharing this trace's instruction table.
+
+        Rows stay consecutive dynamic instructions, so the step must
+        be 1.
+        """
+        start, stop, step = sl.indices(len(self.iidx))
+        if step != 1:
+            raise ValueError(f"a packed trace slices with step 1, "
+                             f"not {step}")
         out = PackedTrace.__new__(PackedTrace)
         out.instrs = self.instrs
         out.reg_srcs = self.reg_srcs
         out._statics = self._statics
-        out.seqs = self.seqs[sl]
-        out.pcs = self.pcs[sl]
-        out.ops = self.ops[sl]
-        out.iidx = self.iidx[sl]
-        out.addrs = self.addrs[sl]
-        out.takens = self.takens[sl]
-        out.next_pcs = self.next_pcs[sl]
-        out.results = self.results[sl]
-        out.srcvals = self.srcvals[sl]
+        out.first_seq = self.first_seq + start
+        out.iidx = self.iidx[start:stop]
+        out.addrs = self.addrs[start:stop]
+        out.takens = self.takens[start:stop]
+        out.next_pcs = self.next_pcs[start:stop]
+        out.results = self.results[start:stop]
         return out
 
     def __iter__(self) -> Iterator[TraceEntry]:
         entry = self.entry
-        for i in range(len(self.seqs)):
+        for i in range(len(self.iidx)):
             yield entry(i)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, PackedTrace):
-            if len(self) != len(other):
-                return False
-            return all(a == b for a, b in zip(self, other))
-        if isinstance(other, (list, tuple)):
-            if len(self) != len(other):
-                return False
-            return all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, (PackedTrace, list, tuple)):
+            return NotImplemented
+        return (len(self) == len(other)
+                and all(a == b for a, b in zip(self, other)))
 
     def __repr__(self) -> str:
         return (f"PackedTrace({len(self)} entries, "
@@ -241,39 +244,39 @@ class PackedTrace:
 
     @classmethod
     def from_entries(cls, entries: Iterable[TraceEntry]) -> "PackedTrace":
-        """Pack an iterable of :class:`TraceEntry` (legacy format)."""
+        """Pack an iterable of :class:`TraceEntry` (legacy format).
+
+        The entries must be consecutive dynamic instructions, each at
+        its instruction's pc: a packed row keeps neither a seq nor a
+        pc of its own.  Raises :class:`ValueError` otherwise.
+        """
         instrs: list[Instruction] = []
         index_of: dict[int, int] = {}
         out = cls(instrs, reg_srcs=[])
-        seq_ap = out.seqs.append
-        pc_ap = out.pcs.append
-        op_ap = out.ops.append
-        ii_ap = out.iidx.append
-        addr_ap = out.addrs.append
-        taken_ap = out.takens.append
-        npc_ap = out.next_pcs.append
-        res_ap = out.results.append
-        src_ap = out.srcvals.append
-        opcode_id = OPCODE_ID
+        seq = None
         for e in entries:
+            if seq is None:
+                seq = out.first_seq = e.seq
+            elif e.seq != seq:
+                raise ValueError(f"entry seq {e.seq} follows {seq - 1}: "
+                                 f"seqs must be consecutive")
+            seq += 1
             instr = e.instr
+            if e.pc != instr.pc:
+                raise ValueError(f"entry #{e.seq} has pc {e.pc:#x}, but "
+                                 f"its instruction is at {instr.pc:#x}")
             key = id(instr)
             ii = index_of.get(key)
             if ii is None:
                 ii = index_of[key] = len(instrs)
                 instrs.append(instr)
                 out.reg_srcs.append(instr.reg_sources())
-            seq_ap(e.seq)
-            pc_ap(e.pc)
-            op_ap(opcode_id[instr.opcode])
-            ii_ap(ii)
-            addr = e.addr
-            addr_ap(NO_ADDR if addr is None else addr)
-            taken = e.taken
-            taken_ap(NO_TAKEN if taken is None else (1 if taken else 0))
-            npc_ap(e.next_pc)
-            res_ap(e.result)
-            src_ap(e.src_values)
+            out.iidx.append(ii)
+            out.addrs.append(NO_ADDR if e.addr is None else e.addr)
+            out.takens.append(NO_TAKEN if e.taken is None
+                              else 1 if e.taken else 0)
+            out.next_pcs.append(e.next_pc)
+            out.results.append(e.result)
         note_packed_build(out)
         return out
 
@@ -284,18 +287,15 @@ class PackedTrace:
     # -- sizing / pickling --------------------------------------------
 
     def column_bytes(self) -> int:
-        """Bytes held by the packed integer columns (not the objects)."""
-        cols = (self.seqs, self.pcs, self.ops, self.iidx, self.addrs,
-                self.takens, self.next_pcs)
+        """Bytes held by the packed integer columns (not the results)."""
+        cols = (self.iidx, self.addrs, self.takens, self.next_pcs)
         return sum(len(col) * col.itemsize for col in cols)
 
     def __getstate__(self):
-        return (self.instrs, self.reg_srcs, self.seqs, self.pcs, self.ops,
-                self.iidx, self.addrs, self.takens, self.next_pcs,
-                self.results, self.srcvals)
+        return (self.instrs, self.reg_srcs, self.first_seq, self.iidx,
+                self.addrs, self.takens, self.next_pcs, self.results)
 
     def __setstate__(self, state):
-        (self.instrs, self.reg_srcs, self.seqs, self.pcs, self.ops,
-         self.iidx, self.addrs, self.takens, self.next_pcs,
-         self.results, self.srcvals) = state
+        (self.instrs, self.reg_srcs, self.first_seq, self.iidx,
+         self.addrs, self.takens, self.next_pcs, self.results) = state
         self._statics = [None]

@@ -25,8 +25,10 @@ class Cache:
         self._set_mask = num_sets - 1
         self._tag_shift = num_sets.bit_length() - 1
         self._assoc = config.assoc
-        # Each set is an ordered list of tags, most recent last.
-        self._sets: list[list[int]] = [[] for _ in range(num_sets)]
+        # Each set is an ordered list of tags, most recent last, built
+        # when the set is first accessed (None until then): most
+        # pipelines touch few of the L2's sets.
+        self._sets: list[list[int] | None] = [None] * num_sets
         self.hits = 0
         self.misses = 0
 
@@ -34,7 +36,12 @@ class Cache:
         """Touch *addr*; fill on miss.  Returns True on a hit."""
         line = addr >> self._line_shift
         tag = line >> self._tag_shift
-        ways = self._sets[line & self._set_mask]
+        index = line & self._set_mask
+        ways = self._sets[index]
+        if ways is None:
+            self._sets[index] = [tag]
+            self.misses += 1
+            return False
         if tag in ways:
             if ways[-1] != tag:
                 ways.remove(tag)
@@ -50,7 +57,8 @@ class Cache:
     def probe(self, addr: int) -> bool:
         """Check for *addr* without updating any state."""
         line = addr >> self._line_shift
-        return line >> self._tag_shift in self._sets[line & self._set_mask]
+        ways = self._sets[line & self._set_mask]
+        return ways is not None and line >> self._tag_shift in ways
 
     def line_address(self, addr: int) -> int:
         """The line-aligned address containing *addr*."""

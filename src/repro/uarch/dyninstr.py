@@ -3,9 +3,10 @@
 A :class:`DynInstr` carries everything the pipeline tracks about one
 dynamic instruction: the static instruction's record from its trace's
 static-instruction table (:meth:`PackedTrace.statics
-<repro.functional.trace.PackedTrace.statics>`), the oracle values
-copied out of the packed trace columns (seq, result, effective
-address, branch outcome, next pc), physical register operands after
+<repro.functional.trace.PackedTrace.statics>`), its seq
+(``first_seq`` plus the row), the oracle values copied out of the
+packed trace columns (result, effective address, branch outcome, next
+pc), physical register operands after
 rename/optimization, readiness bookkeeping, the optimizer outcome
 flags (early execution, removed load, known address), and the cycle
 timestamps used to compute latencies.
@@ -14,8 +15,6 @@ The hot stages read the direct fields — ``op`` (small-integer opcode
 id, indexing the flat tables in :mod:`repro.isa.opcodes`), ``result``,
 ``addr``, ``taken``, and the renamers' ``arch_srcs``/``arch_dst`` —
 and never materialize a :class:`~repro.functional.trace.TraceEntry`.
-The :attr:`entry` view is built from the packed trace row on demand,
-for diagnostics.
 
 Field conventions: ``addr`` is ``-1`` for non-memory instructions;
 ``taken`` is ``-1`` for non-control instructions, else ``0``/``1``;
@@ -26,14 +25,13 @@ writes a zero register).
 
 from __future__ import annotations
 
-from ..functional.trace import PackedTrace, TraceEntry
+from ..functional.trace import PackedTrace
 
 
 class DynInstr:
     """One in-flight dynamic instruction."""
 
     __slots__ = (
-        "_trace", "_row",
         "instr", "reg_srcs", "op", "mem_size", "is_load", "is_store",
         "is_control", "sched_class", "queue_idx", "arch_srcs", "arch_dst",
         "seq", "result", "addr", "taken", "next_pc",
@@ -50,9 +48,7 @@ class DynInstr:
         (self.instr, self.reg_srcs, self.op, self.mem_size, self.is_load,
          self.is_store, self.is_control, self.sched_class, self.queue_idx,
          self.arch_srcs, self.arch_dst) = static
-        self._trace = trace
-        self._row = row
-        self.seq = trace.seqs[row]
+        self.seq = trace.first_seq + row
         self.result = trace.results[row]
         self.addr = trace.addrs[row]
         self.taken = trace.takens[row]
@@ -74,11 +70,6 @@ class DynInstr:
         self.completed = False
         self.retired = False
         self.exec_latency = 0
-
-    @property
-    def entry(self) -> TraceEntry:
-        """The full oracle view, materialized from the trace row."""
-        return self._trace.entry(self._row)
 
     @property
     def opcode(self):

@@ -25,8 +25,9 @@ documented in DESIGN.md):
 
 The pipeline consumes a :class:`~repro.functional.trace.PackedTrace`
 and nothing else.  The fetch stage walks its integer columns by row
-index and builds each :class:`DynInstr` from one record of the
-trace's static-instruction table (:meth:`PackedTrace.statics
+index, reads each row's pc from a table of static-instruction pcs,
+and builds each :class:`DynInstr` from one record of the trace's
+static-instruction table (:meth:`PackedTrace.statics
 <repro.functional.trace.PackedTrace.statics>`, built once per trace
 and shared by its slices) plus the row's dynamic columns, never
 materializing per-entry objects.
@@ -132,7 +133,7 @@ class Pipeline:
         trace = self._trace
         statics = trace.statics()
         iidx = trace.iidx
-        pcs = trace.pcs
+        pcs = [record[0].pc for record in statics]  # by static index
         n_rows = len(trace)
         new_instr = DynInstr
         preg_ready = self.prf.ready
@@ -435,9 +436,10 @@ class Pipeline:
                     stop = n_rows
                 # Fetch delivers one aligned block per cycle; the next
                 # block starts next cycle.
-                block = pcs[row] & block_mask
+                block = pcs[iidx[row]] & block_mask
                 while row < stop and len(frontend) < frontend_cap:
-                    pc = pcs[row]
+                    ii = iidx[row]
+                    pc = pcs[ii]
                     if pc & block_mask != block:
                         break
                     line = pc >> il1_line_shift
@@ -449,7 +451,7 @@ class Pipeline:
                             # after the fill.
                             fetch_resume_cycle = now + latency
                             break
-                    di = new_instr(statics[iidx[row]], trace, row)
+                    di = new_instr(statics[ii], trace, row)
                     row += 1
                     frontend.append((frontend_time, di))
                     if di.is_control:

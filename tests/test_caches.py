@@ -26,6 +26,17 @@ class TestCacheConfig:
 
 
 class TestCache:
+    def test_sets_are_built_on_first_touch(self):
+        cache = small_cache(size=1024, assoc=2, line=64)  # 8 sets
+        assert all(ways is None for ways in cache._sets)
+        assert not cache.probe(0x1000)  # an untouched set is a miss
+        assert not cache.access(0x1000)
+        assert cache.access(0x1000)
+        assert sum(ways is not None for ways in cache._sets) == 1
+        assert cache.probe(0x1000)
+        assert not cache.probe(0x1000 + 64)  # another untouched set
+        assert (cache.hits, cache.misses) == (1, 1)
+
     def test_cold_miss_then_hit(self):
         cache = small_cache()
         assert not cache.access(0x1000)

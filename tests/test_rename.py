@@ -12,8 +12,8 @@ from repro.uarch.regfile import OutOfRegisters
 
 
 def make_di(instr: Instruction, seq: int = 0) -> DynInstr:
-    entry = TraceEntry(seq=seq, pc=instr.pc, instr=instr, src_values=(0, 0),
-                       result=0, addr=None, taken=None, next_pc=instr.pc + 4)
+    entry = TraceEntry(seq=seq, pc=instr.pc, instr=instr, result=0,
+                       addr=None, taken=None, next_pc=instr.pc + 4)
     trace = PackedTrace.from_entries([entry])
     return DynInstr(trace.statics()[0], trace, 0)
 

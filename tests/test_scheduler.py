@@ -24,9 +24,8 @@ from repro.uarch.scheduler import (SCHED_COMPLEX, SCHED_FP, SCHED_INT,
 def make_di(seq: int, opcode=Opcode.ADD) -> DynInstr:
     instr = Instruction(opcode=opcode, dst=1, srcs=(Reg(2), Reg(3)),
                         pc=0x1000 + seq * 4)
-    entry = TraceEntry(seq=seq, pc=instr.pc, instr=instr,
-                       src_values=(0, 0), result=0, addr=None, taken=None,
-                       next_pc=instr.pc + 4)
+    entry = TraceEntry(seq=seq, pc=instr.pc, instr=instr, result=0,
+                       addr=None, taken=None, next_pc=instr.pc + 4)
     trace = PackedTrace.from_entries([entry])
     return DynInstr(trace.statics()[0], trace, 0)
 

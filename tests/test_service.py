@@ -466,6 +466,45 @@ class TestJobManager:
 
         assert asyncio.run(scenario()) >= 3
 
+    def test_stream_cancelled_as_it_wakes_stays_cancelled(self, tmp_path):
+        heartbeat = 0.05
+
+        async def scenario():
+            # the consumer of a queued job's heartbeat stream is
+            # cancelled in the same loop iteration as another job's
+            # event wakes the stream: the cancellation must win
+            manager = JobManager(store_dir=tmp_path,
+                                 max_concurrent_jobs=1)
+            consumer = None
+            try:
+                blocker = await manager.submit(dict(LONG_FUZZ_SPEC,
+                                                    seeds=[0, 400]))
+                queued = await manager.submit(dict(SWEEP_SPEC))
+
+                async def consume():
+                    async for event in manager.events(
+                            queued.id, heartbeat=heartbeat):
+                        if event is not None:
+                            raise AssertionError(f"unexpected {event}")
+
+                consumer = asyncio.create_task(consume())
+                await asyncio.sleep(heartbeat / 5)  # parked in its wait
+                manager._append(blocker, MetricEvent(name="wake",
+                                                     value=1.0))
+                consumer.cancel()
+                await asyncio.wait({consumer}, timeout=heartbeat)
+                ended = consumer.cancelled()
+                await manager.cancel(blocker.id)
+                await manager.cancel(queued.id)
+            finally:
+                if consumer is not None and not consumer.done():
+                    consumer.cancel()
+                    await asyncio.gather(consumer, return_exceptions=True)
+                await manager.close()
+            return ended
+
+        assert asyncio.run(scenario())
+
     def test_finished_job_history_is_bounded(self, tmp_path):
         async def scenario():
             manager = JobManager(store_dir=tmp_path,

@@ -10,6 +10,7 @@ individual entry views all the way up to the byte-exact canonical
 ledgers of flat, segmented, and search runs.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -20,10 +21,11 @@ from repro.engine.pool import run_sweep
 from repro.engine.search import SearchSpace, run_search
 from repro.engine.segments import SegmentPolicy
 from repro.experiments import runner
+from repro.functional.emulator import Emulator
 from repro.functional.trace import PackedTrace, TraceEntry
 from repro.uarch.config import default_config
 from repro.uarch.pipeline import simulate_trace
-from repro.workloads import build_trace
+from repro.workloads import build_program, build_trace
 
 WORKLOAD = "synth:mixed@seed=3"
 
@@ -60,8 +62,8 @@ class TestRoundTrip:
     def test_entry_views_match_columns(self, trace):
         for i in (0, 1, len(trace) // 2, len(trace) - 1):
             e = trace.entry(i)
-            assert e.seq == trace.seqs[i]
-            assert e.pc == trace.pcs[i]
+            assert e.seq == trace.first_seq + i
+            assert e.pc == trace.instrs[trace.iidx[i]].pc
             assert e.next_pc == trace.next_pcs[i]
             assert e.instr is trace.instrs[trace.iidx[i]]
             # Sentinel decoding: -1 columns become None views.
@@ -174,3 +176,61 @@ class TestEngineLedgerParity:
         runner.clear_caches(detach_store=True)
         self._legacy_build_trace(monkeypatch)
         assert packed == search()
+
+
+class TestRowFormat:
+    """A row keeps only what the static table and its index cannot."""
+
+    def test_from_entries_rejects_a_seq_gap(self, trace):
+        entries = trace.to_entries()[:10]
+        del entries[4]
+        with pytest.raises(ValueError, match="consecutive"):
+            PackedTrace.from_entries(entries)
+
+    def test_from_entries_rejects_a_pc_not_the_instructions(self, trace):
+        entries = trace.to_entries()[:10]
+        entries[3] = dataclasses.replace(entries[3], pc=entries[3].pc + 4)
+        with pytest.raises(ValueError, match="pc"):
+            PackedTrace.from_entries(entries)
+
+    def test_from_entries_keeps_the_first_seq(self, trace):
+        repacked = PackedTrace.from_entries(trace.to_entries()[40:60])
+        assert repacked.first_seq == trace.first_seq + 40
+        assert list(repacked) == trace.to_entries()[40:60]
+
+    @pytest.mark.parametrize("step", [2, -1])
+    def test_stepped_slice_raises(self, trace, step):
+        with pytest.raises(ValueError, match="step"):
+            trace[::step]
+
+    def test_slice_offsets_first_seq(self, trace):
+        window = trace[100:300][10:20]
+        assert window.first_seq == trace.first_seq + 110
+        assert [e.seq for e in window] == list(range(110, 120))
+        assert window.entry(-1).seq == 119
+
+    def test_emulated_windows_number_their_rows(self):
+        emulator = Emulator(build_program(WORKLOAD))
+        first = emulator.run_packed(100)
+        second = emulator.run_packed(100)
+        assert (first.first_seq, second.first_seq) == (0, 100)
+        assert second.entry(0).seq == 100
+
+    def test_entry_has_no_source_values_and_a_store_value_is_its_result(
+            self, trace):
+        assert "src_values" not in {
+            field.name for field in dataclasses.fields(TraceEntry)}
+        store = next(e for e in trace if e.is_store)
+        view = TraceEntry(seq=0, pc=store.pc, instr=store.instr, result=7,
+                          addr=store.addr, taken=None, next_pc=store.next_pc)
+        assert view.store_value == 7
+
+    def test_pickled_state_is_the_kept_columns(self, trace):
+        window = trace[100:300]
+        state = window.__reduce_ex__(pickle.DEFAULT_PROTOCOL)[2]
+        assert state == (window.instrs, window.reg_srcs, 100, window.iidx,
+                         window.addrs, window.takens, window.next_pcs,
+                         window.results)
+        clone = pickle.loads(pickle.dumps(window))
+        assert clone.first_seq == 100
+        assert clone == window
