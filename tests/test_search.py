@@ -359,6 +359,55 @@ class TestStrategies:
             run_search(toy_space(), workloads=WORKLOADS, budget=0)
 
 
+class TestOptionRejections:
+    """A zero budget or rung budget is refused on every surface that
+    takes one: the library, the CLI (exit 2) and the service (400)."""
+
+    #: option -> (run_search keyword, CLI flag, service spec key)
+    OPTIONS = {"budget": ("budget", "--budget", "budget"),
+               "rung_insns": ("rung_insns", "--rung-insns", "rung_insns")}
+
+    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    def test_run_search_raises(self, option):
+        keyword = self.OPTIONS[option][0]
+        with pytest.raises(ValueError) as err:
+            run_search(toy_space(), workloads=WORKLOADS, **{keyword: 0})
+        assert "must be > 0, got 0" in str(err.value)
+
+    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    def test_cli_exits_2(self, option, capsys):
+        from repro.cli import main
+        flag = self.OPTIONS[option][1]
+        assert main(["search", "--dim", SPECS[0], "--workloads", "mcf",
+                     flag, "0"]) == 2
+        err = capsys.readouterr().err
+        assert "repro search: error:" in err
+        assert "must be > 0, got 0" in err
+
+    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    def test_service_returns_400(self, option, tmp_path):
+        import asyncio
+
+        from repro.engine.service import JobManager, ServiceError
+        key = self.OPTIONS[option][2]
+        spec = {"kind": "search", "workloads": ["mcf"],
+                "dims": [SPECS[0]], key: 0}
+
+        async def scenario():
+            manager = JobManager(store_dir=tmp_path)
+            try:
+                with pytest.raises(ServiceError) as err:
+                    await manager.submit(spec)
+                assert manager.list_jobs() == []
+            finally:
+                await manager.close()
+            return err.value
+
+        error = asyncio.run(scenario())
+        assert error.status == 400
+        assert "must be > 0, got 0" in str(error)
+
+
 # ----------------------------------------------------------------------
 # resume semantics
 # ----------------------------------------------------------------------
