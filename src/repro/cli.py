@@ -115,10 +115,10 @@ from .engine.backend import BACKEND_NAMES
 from .engine.campaign import Campaign, parse_axis, split_workloads
 from .engine.events import format_event
 from .engine.pool import run_sweep
-from .engine.search import (DEFAULT_RUNG_INSNS, DEFAULT_RUNG_PERIOD,
-                            OBJECTIVES, RUNG_MODES, STRATEGIES,
-                            SearchSpace, format_result, make_objective,
-                            resolve_search_workloads, run_search)
+from .engine.search import (DEFAULT_RUNG_INSNS, OBJECTIVES, SearchSpace,
+                            check_search_options, format_result,
+                            make_objective, resolve_search_workloads,
+                            run_search)
 from .engine.segments import SEGMENT_MODES, SegmentPolicy
 from .engine.store import ArtifactStore
 from .experiments import (autotune, depth, feedback, latency,
@@ -324,8 +324,7 @@ def _cmd_search(args) -> int:
             or args.warmup_insns is not None:
         return _usage_error("search", ValueError(
             "the global segmentation options are not supported by "
-            "search; use --rung-mode sampled for sampled halving "
-            "rungs"))
+            "search"))
     base = default_config()
     if args.optimized:
         base = base.with_optimizer()
@@ -340,22 +339,14 @@ def _cmd_search(args) -> int:
             args.suite)
         objective = make_objective(args.objective,
                                    _parse_weights(args.weight))
-        if args.budget is not None and args.budget <= 0:
-            raise ValueError(f"--budget must be > 0, got {args.budget}")
-        if args.rung_insns <= 0:
-            raise ValueError(f"--rung-insns must be > 0, "
-                             f"got {args.rung_insns}")
-        if args.rung_period < 2:
-            raise ValueError(f"--rung-period must be >= 2, "
-                             f"got {args.rung_period}")
+        check_search_options(args.strategy, args.budget, args.rung_insns)
     except (ValueError, TypeError, AttributeError, KeyError) as error:
         return _usage_error("search", error)
     result = run_search(
         space, workloads=workloads, scales=scales, base=base,
         strategy=args.strategy, budget=args.budget,
         objective=objective, seed=args.seed,
-        rung_insns=args.rung_insns, rung_mode=args.rung_mode,
-        rung_period=args.rung_period, jobs=args.jobs,
+        rung_insns=args.rung_insns, jobs=args.jobs,
         store_dir=args.store,
         progress=None if args.quiet else _search_progress,
         backend=args.run_backend)
@@ -384,9 +375,12 @@ def _cmd_autotune(args) -> int:
             "the global segmentation options are not supported by "
             "autotune"))
     per_suite = 2 if args.per_suite is None else args.per_suite
-    if per_suite <= 0:
-        return _usage_error("autotune", ValueError(
-            f"--per-suite must be > 0, got {per_suite}"))
+    try:
+        check_search_options(args.strategy)
+        if per_suite <= 0:
+            raise ValueError(f"--per-suite must be > 0, got {per_suite}")
+    except ValueError as error:
+        return _usage_error("autotune", error)
     report = autotune.run(scale=args.scale,
                           workloads_per_suite=per_suite,
                           jobs=args.jobs, strategy=args.strategy,
@@ -772,9 +766,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated scale factors (default: "
                              "the global --scale value)")
     search.add_argument("--strategy", default="random",
-                        choices=list(STRATEGIES),
                         help="grid (exhaustive), random (seeded "
-                             "sampling), or halving (short-budget "
+                             "sampling), or halving (truncated-trace "
                              "rungs, full-run finals)")
     search.add_argument("--budget", type=int, default=None, metavar="N",
                         help="max candidates to consider (default: the "
@@ -791,22 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_RUNG_INSNS, metavar="N",
                         help="halving's first-rung instruction budget "
                              "(doubles per rung; default "
-                             f"{DEFAULT_RUNG_INSNS}); with --rung-mode "
-                             "sampled, the segment size instead")
-    search.add_argument("--rung-mode", default="limit",
-                        choices=list(RUNG_MODES),
-                        help="how halving rungs spend their budget: "
-                             "limit truncates each trace to the rung "
-                             "budget; sampled simulates every Nth "
-                             "segment of the whole trace and "
-                             "extrapolates (finals are exact either "
-                             "way)")
-    search.add_argument("--rung-period", type=int,
-                        default=DEFAULT_RUNG_PERIOD, metavar="P",
-                        help="sampled rungs' first sample period "
-                             "(halves — doubling coverage — per rung, "
-                             f"floored at 2; default "
-                             f"{DEFAULT_RUNG_PERIOD})")
+                             f"{DEFAULT_RUNG_INSNS})")
     search.add_argument("--optimized", action="store_true",
                         help="enable the continuous optimizer on the "
                              "base config before searching")
@@ -829,7 +807,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "mediabench and report whether the winner matches "
                     "the paper's Figure 10 (exit 1 if it does not).")
     autotune_parser.add_argument("--strategy", default="halving",
-                                 choices=list(STRATEGIES))
+                                 help="grid, random or halving "
+                                      "(default halving)")
     autotune_parser.add_argument("--seed", type=int, default=0)
     autotune_parser.add_argument("--quiet", action="store_true",
                                  help="suppress per-evaluation progress")

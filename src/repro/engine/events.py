@@ -93,7 +93,6 @@ class EvaluationEvent(Event):
     score: float
     limit_insns: int | None = None
     from_ledger: bool = False
-    sampled: bool = False
 
 
 @dataclass(frozen=True)
@@ -265,12 +264,8 @@ def format_event(event: Event) -> str:
         return (f"[{event.done}/{event.total}]{owner} "
                 f"{event.label}{cache}")
     if event.kind == "evaluation":
-        if event.sampled:
-            budget = "sampled"
-        elif event.limit_insns:
-            budget = f"first {event.limit_insns} insns"
-        else:
-            budget = "full"
+        budget = (f"first {event.limit_insns} insns"
+                  if event.limit_insns else "full")
         source = "ledger" if event.from_ledger else "ran"
         return (f"[search] {event.candidate}  score {event.score:.4f}  "
                 f"({budget}, {source})")

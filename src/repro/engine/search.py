@@ -45,7 +45,6 @@ from .campaign import SweepPoint, _parse_value, apply_override
 from .events import EvaluationEvent, PointEvent
 from .pool import (DEFAULT_TRACE_CACHE, PointResult, resolve_jobs,
                    run_sweep_iter, run_trace_prewarm)
-from .segments import SegmentPolicy, run_segmented_sweep
 from .store import ArtifactStore
 
 # ----------------------------------------------------------------------
@@ -296,23 +295,16 @@ class Evaluation:
     points: dict[str, dict]
     #: True when the search manifest already held this score
     from_ledger: bool = False
-    #: set on sampled rungs (``rung_mode="sampled"``): the segment
-    #: sample period the score was estimated at.  ``None`` everywhere
-    #: else, and omitted from dict/ledger forms so exact-mode ledgers
-    #: stay byte-identical to prior releases.
-    sample_period: int | None = None
 
     @property
     def full(self) -> bool:
-        return self.limit_insns is None and self.sample_period is None
+        return self.limit_insns is None
 
     def to_dict(self) -> dict:
         return {"candidate": self.candidate.label,
                 "score": round(self.score, 6),
                 "limit_insns": self.limit_insns,
                 "from_ledger": self.from_ledger,
-                **({"sample_period": self.sample_period}
-                   if self.sample_period is not None else {}),
                 "points": self.points}
 
 
@@ -342,14 +334,7 @@ class _Evaluator:
                 self.ledger = manifest.get("evaluations", {})
 
     @staticmethod
-    def _ledger_key(candidate: Candidate, limit_insns: int | None,
-                    sample: "SegmentPolicy | None" = None) -> str:
-        if sample is not None:
-            # sampled rungs score estimates, never exact numbers; a
-            # distinct key namespace keeps them from ever shadowing
-            # (or being shadowed by) a truncated or full evaluation
-            return (f"{candidate.label}@sampled:"
-                    f"{sample.segment_insns}x{sample.sample_period}")
+    def _ledger_key(candidate: Candidate, limit_insns: int | None) -> str:
         return f"{candidate.label}@{limit_insns or 'full'}"
 
     def _emit(self, event) -> None:
@@ -357,24 +342,20 @@ class _Evaluator:
             self.progress(event)
 
     def _ledgered(self, candidate: Candidate, entry: dict,
-                  limit_insns: int | None,
-                  sample: "SegmentPolicy | None" = None) -> Evaluation:
+                  limit_insns: int | None) -> Evaluation:
         self.counters["evaluations_reused"] += 1
-        period = sample.sample_period if sample is not None else None
         evaluation = Evaluation(candidate=candidate, score=entry["score"],
                                 limit_insns=limit_insns,
                                 points=entry.get("points", {}),
-                                from_ledger=True, sample_period=period)
+                                from_ledger=True)
         self._emit(EvaluationEvent(candidate=candidate.label,
                                    score=evaluation.score,
                                    limit_insns=limit_insns,
-                                   from_ledger=True,
-                                   sampled=sample is not None))
+                                   from_ledger=True))
         return evaluation
 
     def _completed(self, candidate: Candidate, results: list[PointResult],
-                   limit_insns: int | None,
-                   sample: "SegmentPolicy | None" = None) -> Evaluation:
+                   limit_insns: int | None) -> Evaluation:
         # Results stream back in shard-completion order, which depends
         # on worker timing; fix the order before scoring so float
         # accumulation (and the ledgered point dict) is byte-identical
@@ -386,12 +367,8 @@ class _Evaluator:
                       "cycles": r.stats.cycles}
                      for r in results}
         self.counters["evaluations"] += 1
-        period = sample.sample_period if sample is not None else None
-        entry = {"score": score, "points": summaries}
-        if period is not None:
-            entry["sample_period"] = period
-        self.ledger[self._ledger_key(candidate, limit_insns, sample)] = \
-            entry
+        self.ledger[self._ledger_key(candidate, limit_insns)] = \
+            {"score": score, "points": summaries}
         if self.store is not None:
             # rewritten after every candidate: a killed search resumes
             # at evaluation granularity
@@ -399,66 +376,9 @@ class _Evaluator:
                 self.identity, {"evaluations": self.ledger})
         self._emit(EvaluationEvent(candidate=candidate.label,
                                    score=score, limit_insns=limit_insns,
-                                   from_ledger=False,
-                                   sampled=sample is not None))
+                                   from_ledger=False))
         return Evaluation(candidate=candidate, score=score,
-                          limit_insns=limit_insns, points=summaries,
-                          sample_period=period)
-
-    def evaluate_sampled(self, candidates: list[Candidate],
-                         sample: SegmentPolicy) -> list[Evaluation]:
-        """Score a batch on **sampled** segmented runs.
-
-        Every un-ledgered candidate's points go into one segmented
-        sweep (the segment shards already carry all configs per
-        window, so one pass over each trace scores the whole batch);
-        the per-candidate scores are ranking *estimates* — the ledger
-        keys and events mark them sampled so they can never be
-        mistaken for exact results.
-        """
-        slots: dict[int, Evaluation] = {}
-        pending: list[tuple[int, Candidate]] = []
-        for batch_index, candidate in enumerate(candidates):
-            entry = self.ledger.get(
-                self._ledger_key(candidate, None, sample))
-            if entry is not None:
-                slots[batch_index] = self._ledgered(candidate, entry,
-                                                    None, sample)
-            else:
-                pending.append((batch_index, candidate))
-        if pending:
-            per_candidate = len(self.workloads) * len(self.scales)
-            points, owners = [], []
-            for batch_index, candidate in pending:
-                config = candidate.config(self.base)
-                for workload in self.workloads:
-                    for scale in self.scales:
-                        points.append(SweepPoint(
-                            workload=workload, scale=scale,
-                            variant=candidate.label, config=config))
-                        owners.append(batch_index)
-            sweep = run_segmented_sweep(points, sample, jobs=self.jobs,
-                                        store_dir=self.store_dir,
-                                        backend=self.backend)
-            self.counters["emulations"] += \
-                sweep.counters.get("emulations", 0)
-            self.counters["simulations"] += \
-                sweep.counters.get("segment_simulations", 0)
-            self.counters["stats_cache_hits"] += \
-                sweep.counters.get("segment_stats_hits", 0)
-            gathered: dict[int, list[PointResult]] = \
-                {i: [] for i, _ in pending}
-            for index, result in enumerate(sweep.results):
-                bucket = gathered[owners[index]]
-                bucket.append(result)
-                self._emit(PointEvent(
-                    label=result.point.label, done=len(bucket),
-                    total=per_candidate, from_cache=result.from_cache,
-                    candidate=result.point.variant))
-            for batch_index, candidate in pending:
-                slots[batch_index] = self._completed(
-                    candidate, gathered[batch_index], None, sample)
-        return [slots[i] for i in range(len(candidates))]
+                          limit_insns=limit_insns, points=summaries)
 
     def evaluate_batch(self, candidates: list[Candidate],
                        limit_insns: int | None = None
@@ -533,11 +453,6 @@ class _Evaluator:
                 self.counters[name] += sweep_counters.get(name, 0)
         return [slots[i] for i in range(len(candidates))]
 
-    def evaluate(self, candidate: Candidate,
-                 limit_insns: int | None = None) -> Evaluation:
-        """Score one candidate, consulting the ledger first."""
-        return self.evaluate_batch([candidate], limit_insns)[0]
-
 
 # ----------------------------------------------------------------------
 # strategies
@@ -548,21 +463,27 @@ STRATEGIES = ("grid", "random", "halving")
 #: Default first-rung instruction budget for successive halving.
 DEFAULT_RUNG_INSNS = 2000
 
-#: How halving rungs spend their budget: ``limit`` truncates each
-#: trace to the rung's ``limit_insns``; ``sampled`` simulates every
-#: Nth segment of the *whole* trace and extrapolates, so rungs see
-#: late-phase behaviour a truncated prefix never reaches.
-RUNG_MODES = ("limit", "sampled")
 
-#: Default first-rung sample period for ``rung_mode="sampled"``.
-DEFAULT_RUNG_PERIOD = 4
+def check_search_options(strategy: str, budget: int | None = None,
+                         rung_insns: int = DEFAULT_RUNG_INSNS) -> None:
+    """Raise ``ValueError`` unless the strategy options are usable.
+
+    The one home of these rules: :func:`run_search`, ``repro search``
+    (exit 2) and the service's submit check (HTTP 400) all call it, so
+    a bad value gets the same message wherever it is given.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one "
+                         f"of {', '.join(STRATEGIES)}")
+    if budget is not None and budget <= 0:
+        raise ValueError(f"budget must be > 0, got {budget}")
+    if rung_insns <= 0:
+        raise ValueError(f"rung_insns must be > 0, got {rung_insns}")
 
 
 def _search_grid(space: SearchSpace, evaluator: _Evaluator,
                  budget: int | None, rng: random.Random,
-                 rung_insns: int, rung_mode: str = "limit",
-                 rung_period: int = DEFAULT_RUNG_PERIOD
-                 ) -> list[Evaluation]:
+                 rung_insns: int) -> list[Evaluation]:
     candidates = space.candidates()
     if budget is not None:
         candidates = candidates[:budget]
@@ -571,47 +492,29 @@ def _search_grid(space: SearchSpace, evaluator: _Evaluator,
 
 def _search_random(space: SearchSpace, evaluator: _Evaluator,
                    budget: int | None, rng: random.Random,
-                   rung_insns: int, rung_mode: str = "limit",
-                   rung_period: int = DEFAULT_RUNG_PERIOD
-                   ) -> list[Evaluation]:
+                   rung_insns: int) -> list[Evaluation]:
     count = space.size if budget is None else budget
     return evaluator.evaluate_batch(space.sample(rng, count))
 
 
 def _search_halving(space: SearchSpace, evaluator: _Evaluator,
                     budget: int | None, rng: random.Random,
-                    rung_insns: int, rung_mode: str = "limit",
-                    rung_period: int = DEFAULT_RUNG_PERIOD
-                    ) -> list[Evaluation]:
+                    rung_insns: int) -> list[Evaluation]:
     """Successive halving: cheap rungs rank, full runs decide.
 
-    Start from *budget* sampled candidates.  With the default
-    ``rung_mode="limit"`` each rung scores every survivor on a
-    truncated ``rung_insns`` instruction budget and promotes the best
-    half to a doubled budget.  With ``rung_mode="sampled"`` rungs run
-    **sampled segmented** sweeps instead (segment size ``rung_insns``,
-    starting at ``rung_period`` and halving the period — doubling
-    coverage — per rung, floored at every 2nd segment), so ranking
-    sees the whole trace's phase behaviour at a fraction of its cost.
-    Either way, once at most two candidates survive they are
-    re-evaluated on **full exact** traces (rung scores are rankings,
-    never final results).
+    Start from *budget* sampled candidates.  Each rung scores every
+    survivor on its trace truncated to a ``rung_insns`` instruction
+    prefix and promotes the best half to a doubled prefix.  Once at
+    most two candidates survive they are re-evaluated on **full**
+    traces (rung scores are rankings, never final results).
     """
     count = space.size if budget is None else budget
     survivors = space.sample(rng, count)
     evaluations: list[Evaluation] = []
     limit = rung_insns
-    period = rung_period
     while len(survivors) > 2:
-        if rung_mode == "sampled":
-            rung = evaluator.evaluate_sampled(
-                survivors, SegmentPolicy(mode="sampled",
-                                         segment_insns=rung_insns,
-                                         sample_period=period))
-            period = max(2, period // 2)
-        else:
-            rung = evaluator.evaluate_batch(survivors, limit_insns=limit)
-            limit *= 2
+        rung = evaluator.evaluate_batch(survivors, limit_insns=limit)
+        limit *= 2
         evaluations.extend(rung)
         ranked = sorted(rung, key=lambda e: e.score, reverse=True)
         keep = max(2, math.ceil(len(survivors) / 2))
@@ -680,10 +583,6 @@ class SearchResult:
                 {"candidate": e.candidate.label,
                  "limit_insns": e.limit_insns,
                  "score": e.score,
-                 # only sampled rungs carry the key, so limit-mode
-                 # search ledgers stay byte-identical to prior releases
-                 **({"sample_period": e.sample_period}
-                    if e.sample_period is not None else {}),
                  "points": e.points}
                 for e in self.evaluations
             ],
@@ -753,8 +652,6 @@ def run_search(space: SearchSpace, *, workloads: tuple[str, ...],
                objective="geomean-ipc",
                weights: dict[str, float] | None = None,
                seed: int = 0, rung_insns: int = DEFAULT_RUNG_INSNS,
-               rung_mode: str = "limit",
-               rung_period: int = DEFAULT_RUNG_PERIOD,
                jobs: int | None = 1,
                store_dir=None, progress=None,
                backend=None) -> SearchResult:
@@ -779,18 +676,7 @@ def run_search(space: SearchSpace, *, workloads: tuple[str, ...],
     resolves it **once**, so a process pool's warm workers — or a
     fleet of socket workers — persist across every rung and batch.
     """
-    if strategy not in _STRATEGY_FUNCS:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one "
-                         f"of {', '.join(STRATEGIES)}")
-    if budget is not None and budget <= 0:
-        raise ValueError(f"budget must be > 0, got {budget}")
-    if rung_insns <= 0:
-        raise ValueError(f"rung_insns must be > 0, got {rung_insns}")
-    if rung_mode not in RUNG_MODES:
-        raise ValueError(f"unknown rung_mode {rung_mode!r}; expected "
-                         f"one of {', '.join(RUNG_MODES)}")
-    if rung_period < 2:
-        raise ValueError(f"rung_period must be >= 2, got {rung_period}")
+    check_search_options(strategy, budget, rung_insns)
     if not workloads:
         raise ValueError("search needs at least one workload")
     if isinstance(objective, str):
@@ -820,8 +706,7 @@ def run_search(space: SearchSpace, *, workloads: tuple[str, ...],
                                backend=backend)
         rng = random.Random(seed)
         evaluations = _STRATEGY_FUNCS[strategy](space, evaluator, budget,
-                                                rng, rung_insns,
-                                                rung_mode, rung_period)
+                                                rng, rung_insns)
     finally:
         if owned:
             backend.close()

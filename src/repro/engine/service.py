@@ -91,8 +91,8 @@ from .differential import DEFAULT_SEGMENT_INSNS, run_fuzz
 from .events import (Event, JobFailedEvent, JobFinishedEvent,
                      JobStartedEvent, MetricEvent, format_event)
 from .pool import resolve_jobs, run_sweep
-from .search import (RUNG_MODES, STRATEGIES, SearchSpace, make_objective,
-                     resolve_search_workloads, run_search)
+from .search import (DEFAULT_RUNG_INSNS, SearchSpace, check_search_options,
+                     make_objective, resolve_search_workloads, run_search)
 from .segments import SegmentPolicy, run_segmented_sweep
 from .store import (ArtifactStore, tenant_store_root, tenant_usage,
                     validate_tenant_name)
@@ -114,7 +114,6 @@ _SPEC_KEYS = {
     "search": _COMMON_KEYS | {"workloads", "suite", "scales", "dims",
                               "strategy", "budget", "objective",
                               "weights", "seed", "rung_insns",
-                              "rung_mode", "rung_period",
                               "optimized"},
     "fuzz": _COMMON_KEYS | {"seeds", "families", "scale", "small",
                             "segment_insns"},
@@ -414,6 +413,15 @@ def _segments_body(spec: dict, store_dir: str, jobs: int,
     return result
 
 
+def _search_options(spec: dict) -> dict:
+    """A search spec's strategy options as :func:`run_search` keywords."""
+    budget, rung_insns = spec.get("budget"), spec.get("rung_insns")
+    return {"strategy": spec.get("strategy", "random"),
+            "budget": None if budget is None else int(budget),
+            "rung_insns": DEFAULT_RUNG_INSNS if rung_insns is None
+            else int(rung_insns)}
+
+
 def _search_body(spec: dict, store_dir: str, jobs: int,
                  emit: Callable[[Event], None], backend=None) -> dict:
     space = SearchSpace.from_specs(list(spec["dims"]))
@@ -425,23 +433,13 @@ def _search_body(spec: dict, store_dir: str, jobs: int,
     base = default_config()
     if spec.get("optimized"):
         base = base.with_optimizer()
-    kwargs = {}
-    if spec.get("rung_insns"):
-        kwargs["rung_insns"] = int(spec["rung_insns"])
-    if spec.get("rung_mode"):
-        kwargs["rung_mode"] = str(spec["rung_mode"])
-    if spec.get("rung_period"):
-        kwargs["rung_period"] = int(spec["rung_period"])
-    budget = spec.get("budget")
     result = run_search(
         space, workloads=workloads,
-        scales=tuple(_spec_scales(spec)),
-        base=base, strategy=spec.get("strategy", "random"),
-        budget=int(budget) if budget is not None else None,
+        scales=tuple(_spec_scales(spec)), base=base,
         objective=make_objective(spec.get("objective", "geomean-ipc"),
                                  spec.get("weights")),
         seed=int(spec.get("seed", 0)), jobs=jobs, store_dir=store_dir,
-        progress=emit, backend=backend, **kwargs)
+        progress=emit, backend=backend, **_search_options(spec))
     ledger = result.ledger_json()
     return {"best": result.best.candidate.label,
             "score": result.best.score,
@@ -778,28 +776,10 @@ class JobManager:
                     if isinstance(job.spec.get("workloads"), str)
                     else job.spec.get("workloads"),
                     job.spec.get("suite"))
-                strategy = job.spec.get("strategy", "random")
-                if strategy not in STRATEGIES:
-                    raise ValueError(
-                        f"unknown strategy {strategy!r}; expected "
-                        f"one of {', '.join(STRATEGIES)}")
+                check_search_options(**_search_options(job.spec))
                 make_objective(job.spec.get("objective", "geomean-ipc"),
                                job.spec.get("weights"))
                 int(job.spec.get("seed", 0))
-                for bound in ("budget", "rung_insns"):
-                    value = job.spec.get(bound)
-                    if value is not None and int(value) <= 0:
-                        raise ValueError(f"{bound} must be > 0, "
-                                         f"got {value}")
-                rung_mode = job.spec.get("rung_mode", "limit")
-                if rung_mode not in RUNG_MODES:
-                    raise ValueError(
-                        f"unknown rung_mode {rung_mode!r}; expected "
-                        f"one of {', '.join(RUNG_MODES)}")
-                rung_period = job.spec.get("rung_period")
-                if rung_period is not None and int(rung_period) < 2:
-                    raise ValueError(f"rung_period must be >= 2, "
-                                     f"got {rung_period}")
             elif kind == "fuzz":
                 seeds = job.spec.get("seeds", [0, 8])
                 # a string like "19" would pass a bare len()==2 check

@@ -360,38 +360,51 @@ class TestStrategies:
 
 
 class TestOptionRejections:
-    """A zero budget or rung budget is refused on every surface that
-    takes one: the library, the CLI (exit 2) and the service (400)."""
+    """A bad strategy option gets the same message from the library,
+    the CLI (exit 2) and the service (400): all three call
+    ``check_search_options``."""
 
-    #: option -> (run_search keyword, CLI flag, service spec key)
-    OPTIONS = {"budget": ("budget", "--budget", "budget"),
-               "rung_insns": ("rung_insns", "--rung-insns", "rung_insns")}
+    #: run_search keyword -> (bad value, CLI flag, expected message)
+    CASES = {
+        "budget": (0, "--budget", "budget must be > 0, got 0"),
+        "rung_insns": (0, "--rung-insns",
+                       "rung_insns must be > 0, got 0"),
+        "strategy": ("annealing", "--strategy",
+                     "unknown strategy 'annealing'; expected one of "
+                     "grid, random, halving"),
+    }
 
-    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    @pytest.mark.parametrize("option", sorted(CASES))
     def test_run_search_raises(self, option):
-        keyword = self.OPTIONS[option][0]
+        value, _, message = self.CASES[option]
         with pytest.raises(ValueError) as err:
-            run_search(toy_space(), workloads=WORKLOADS, **{keyword: 0})
-        assert "must be > 0, got 0" in str(err.value)
+            run_search(toy_space(), workloads=WORKLOADS, **{option: value})
+        assert str(err.value) == message
 
-    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    @pytest.mark.parametrize("option", sorted(CASES))
     def test_cli_exits_2(self, option, capsys):
         from repro.cli import main
-        flag = self.OPTIONS[option][1]
+        value, flag, message = self.CASES[option]
         assert main(["search", "--dim", SPECS[0], "--workloads", "mcf",
-                     flag, "0"]) == 2
-        err = capsys.readouterr().err
-        assert "repro search: error:" in err
-        assert "must be > 0, got 0" in err
+                     flag, str(value)]) == 2
+        assert capsys.readouterr().err == \
+            f"repro search: error: {message}\n"
 
-    @pytest.mark.parametrize("option", sorted(OPTIONS))
+    def test_autotune_cli_exits_2_on_unknown_strategy(self, capsys):
+        from repro.cli import main
+        _, _, message = self.CASES["strategy"]
+        assert main(["autotune", "--strategy", "annealing"]) == 2
+        assert capsys.readouterr().err == \
+            f"repro autotune: error: {message}\n"
+
+    @pytest.mark.parametrize("option", sorted(CASES))
     def test_service_returns_400(self, option, tmp_path):
         import asyncio
 
         from repro.engine.service import JobManager, ServiceError
-        key = self.OPTIONS[option][2]
+        value, _, message = self.CASES[option]
         spec = {"kind": "search", "workloads": ["mcf"],
-                "dims": [SPECS[0]], key: 0}
+                "dims": [SPECS[0]], option: value}
 
         async def scenario():
             manager = JobManager(store_dir=tmp_path)
@@ -405,7 +418,7 @@ class TestOptionRejections:
 
         error = asyncio.run(scenario())
         assert error.status == 400
-        assert "must be > 0, got 0" in str(error)
+        assert str(error) == message
 
 
 # ----------------------------------------------------------------------
@@ -591,6 +604,16 @@ class TestSearchCli:
         assert "--segment-insns" in capsys.readouterr().err
         assert main(["--segment-insns", "1000", "autotune"]) == 2
         assert "--segment-insns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--rung-mode", "--rung-period"])
+    def test_sampled_rung_flags_are_gone(self, flag, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exit_:
+            main(["search", "--dim", "optimizer.enabled=false,true",
+                  "--workloads", "mcf", "--strategy", "halving",
+                  flag, "sampled" if flag == "--rung-mode" else "2"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_bad_scales_exit_nonzero(self, capsys):
         from repro.cli import main

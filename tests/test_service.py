@@ -592,14 +592,16 @@ class TestSegmentPolicyJobs:
              "unknown segments spec keys ['segment_insns']"),
             ({"kind": "segments", "workloads": ["art"]},
              "needs a policy"),
+            # the sampled-rung knobs are gone: unknown keys, named
+            # like any other typo
             ({"kind": "search", "workloads": ["art"],
               "dims": ["optimizer.enabled=false,true"],
               "rung_mode": "sampeld"},
-             "unknown rung_mode"),
+             "unknown search spec keys ['rung_mode']"),
             ({"kind": "search", "workloads": ["art"],
               "dims": ["optimizer.enabled=false,true"],
               "rung_mode": "sampled", "rung_period": 1},
-             "rung_period must be >= 2"),
+             "unknown search spec keys ['rung_mode', 'rung_period']"),
         ]
 
         async def scenario():

@@ -12,7 +12,6 @@ artifacts.
 import asyncio
 import http.client
 import threading
-import time
 
 import pytest
 
