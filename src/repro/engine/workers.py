@@ -2,16 +2,12 @@
 
 Both executors (:mod:`repro.engine.pool` for flat sweeps,
 :mod:`repro.engine.segments` for segmented ones) spawn
-``ProcessPoolExecutor`` workers, bind a store in each worker process,
-and record how long every unit sat in the pool queue.  That plumbing
-lives here exactly once:
+``ProcessPoolExecutor`` workers and record how long every unit sat in
+the pool queue.  That plumbing lives here exactly once:
 
 * :func:`set_worker_start_method` / :func:`pool_kwargs` — the
   process-wide multiprocessing start-method choice (the streaming
   service switches to ``spawn``; see the docstring below);
-* :func:`init_store_worker` / :func:`worker_store` — the store-only
-  worker initializer used by engines whose workers need no trace
-  cache (the pool keeps its richer ``ExecutionContext`` initializer);
 * :func:`observe_wait` — the queue-wait histogram observation every
   worker records on entry.
 """
@@ -56,26 +52,6 @@ def set_worker_start_method(method):
 def pool_kwargs() -> dict:
     """Extra ``ProcessPoolExecutor`` kwargs for the chosen start method."""
     return {"mp_context": _MP_CONTEXT} if _MP_CONTEXT is not None else {}
-
-
-#: One store binding per worker *process* (set by
-#: :func:`init_store_worker`).  A module global is the only channel
-#: ``ProcessPoolExecutor`` offers, but each worker process belongs to
-#: exactly one pool — i.e. one sweep — so this is genuinely per-sweep
-#: state; serial paths pass an explicit store instead of reading it.
-_WORKER_STORE = None
-
-
-def init_store_worker(store_dir: str) -> None:
-    """Pool initializer: bind this worker process to one store."""
-    global _WORKER_STORE
-    from .store import ArtifactStore
-    _WORKER_STORE = ArtifactStore(store_dir)
-
-
-def worker_store():
-    """This worker process's store (see :func:`init_store_worker`)."""
-    return _WORKER_STORE
 
 
 def observe_wait(submitted_ns: int | None,

@@ -134,21 +134,6 @@ def active_store() -> ArtifactStore | None:
     return _store
 
 
-def default_jobs() -> int:
-    """The configured default worker count (1 = serial)."""
-    return _default_jobs
-
-
-def default_segment_policy() -> SegmentPolicy | None:
-    """The configured segment policy (None = monolithic simulation)."""
-    return _segment_policy
-
-
-def default_backend() -> ExecutionBackend | str | None:
-    """The configured execution backend (None = auto-pick from jobs)."""
-    return _backend
-
-
 def clear_caches(*, detach_store: bool = False) -> None:
     """Drop all memoized traces and simulation results.
 

@@ -95,7 +95,7 @@ class Checkpoint:
 class EmulationResult:
     """Everything the emulator produced for one program run."""
 
-    trace: "PackedTrace | list[TraceEntry]"
+    trace: PackedTrace
     halted: bool
     int_regs: list[int]
     fp_regs: list[float]

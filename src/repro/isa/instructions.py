@@ -22,7 +22,7 @@ Layout conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .opcodes import Opcode, OpSpec, spec_of
 from .registers import reg_name
@@ -69,24 +69,10 @@ class Instruction:
         return spec_of(self.opcode)
 
     @property
-    def is_mem(self) -> bool:
-        """True for loads and stores."""
-        spec = self.spec
-        return spec.is_load or spec.is_store
-
-    @property
     def is_control(self) -> bool:
         """True for any instruction that can change the PC."""
         spec = self.spec
         return spec.is_branch or spec.is_jump
-
-    def with_pc(self, pc: int) -> "Instruction":
-        """Return a copy of this instruction placed at byte address *pc*."""
-        return replace(self, pc=pc)
-
-    def with_target(self, target: int) -> "Instruction":
-        """Return a copy with the control-flow target resolved to *target*."""
-        return replace(self, target=target)
 
     def reg_sources(self) -> tuple[int, ...]:
         """Indices of all register source operands (in operand order)."""
