@@ -2,9 +2,10 @@
 
 Each ``bench_*`` file regenerates one table or figure of the paper.
 Formatted result tables are printed (visible with ``pytest -s``) and
-written to ``benchmarks/results/`` so EXPERIMENTS.md can reference
-them.  The experiment runner memoizes traces and simulations, so the
-baseline runs are shared across figures within one pytest session.
+written to ``benchmarks/results/``; the committed ones are cited by
+the README's "Performance" section.  The experiment runner memoizes
+traces and simulations, so the baseline runs are shared across
+figures within one pytest session.
 
 ``--smoke`` runs every bench in a tiny-budget mode: one workload per
 suite, minimal scales/budgets, and paper-shape assertions skipped

@@ -5,7 +5,7 @@ paper's machine (Table 2): fetch → decode → rename(/optimize) →
 schedule → register read → execute → retire.
 
 Modeling notes (all standard for SimpleScalar-era studies, and
-documented in DESIGN.md):
+documented in DESIGN.md Section 5):
 
 * **Wrong-path fetch** is charged as a front-end bubble: when a
   mispredicted control instruction is fetched, fetch stops until the

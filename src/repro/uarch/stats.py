@@ -6,7 +6,9 @@ Covers everything the paper's evaluation reports:
 * the Table 3 optimizer-effect counters (early execution, early branch
   recovery, rename-time address generation, load removal),
 * supporting counters (cache hits/misses, predictor accuracy, stall
-  breakdowns) used by the analysis in EXPERIMENTS.md.
+  breakdowns) that the benchmarks under ``benchmarks/`` report; the
+  committed results are in ``benchmarks/results/`` and the README's
+  "Performance" section.
 """
 
 from __future__ import annotations

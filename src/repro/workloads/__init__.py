@@ -2,8 +2,8 @@
 
 SPEC2000 and mediabench binaries are not redistributable, so each
 benchmark is represented by a hand-written assembly kernel reproducing
-its dominant loop structure (see DESIGN.md for the substitution
-rationale and ``common.py`` for shared helpers).
+its dominant loop structure (see DESIGN.md Section 2 for the
+substitution rationale and ``common.py`` for shared helpers).
 """
 
 from . import synth

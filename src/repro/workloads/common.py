@@ -5,8 +5,8 @@ binaries and inputs are not redistributable, so each benchmark is
 represented here by a hand-written assembly kernel that reproduces the
 benchmark's *dominant loop structure* — the code the paper's analysis
 itself points at (e.g. mcf's ``sort_basket`` quicksort, untoast's
-``Short_term_synthesis_filtering``).  DESIGN.md records this
-substitution.
+``Short_term_synthesis_filtering``).  DESIGN.md Section 2 records
+this substitution.
 
 This module holds the common assembly idioms: a linear congruential
 generator for reproducible pseudo-random data, and fragments for
