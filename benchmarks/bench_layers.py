@@ -16,11 +16,14 @@ counts are exact and repeat run to run, but differ between CPython
 versions, so they are keyed by ``major.minor``.
 
 The functional rows cover the layer under the timing model: emulate
-insns/s (``run_program`` on an assembled program, best of
-``ROUNDS``), the bytes a freshly built trace holds per row (a
-``tracemalloc`` count, exact run to run), its pickled bytes per row,
-and ``ArtifactStore.save_trace``/``load_trace`` MB/s on a temporary
-store (best of ``ROUNDS``).
+insns/s (``run_program`` on an assembled program; each of ``ROUNDS``
+passes samples every workload in turn, a sample repeats the run until
+it covers ``EMULATE_SAMPLE_SECONDS``, and a row takes its best
+sample's time per run), the bytes a
+freshly built trace holds per row (a ``tracemalloc`` count, exact run
+to run), its pickled bytes per row, and
+``ArtifactStore.save_trace``/``load_trace`` MB/s on a temporary store
+(best of ``ROUNDS``).
 
 ``BEFORE`` keeps the throughput rows as measured before the
 optimizer's table-driven fast path, ``WORK_BEFORE`` the work rows
@@ -55,6 +58,12 @@ WORKLOADS = ("mcf", "gcc", "synth:branchy")
 SMOKE_WORKLOADS = ("mcf",)
 ROUNDS = 3
 SMOKE_ROUNDS = 1
+
+#: An emulate sample repeats ``run_program`` until it has run this
+#: long: one scale-1 run takes ~50 ms, too short to time on a shared
+#: host (single runs swung the best of 3 by +-30%).  ``--smoke`` keeps
+#: one run per sample.
+EMULATE_SAMPLE_SECONDS = 0.5
 
 #: The rows before the optimizer's table-driven fast path: per-source
 #: ``_expr_of`` resolution, enum-and-namedtuple CP/RA outcomes and
@@ -106,7 +115,10 @@ GATED_WORKLOAD = "mcf"
 
 #: The functional rows before the trace kept only its five row columns
 #: (it also held seq, pc, opcode and source-value columns), CPython
-#: 3.11, best of 3; each timing is the better of two runs.
+#: 3.11, best of 3; each timing is the better of two runs.  The emulate
+#: values come from the older, noisier method: the best of 3 single
+#: ~50 ms ``run_program`` calls, not of ``EMULATE_SAMPLE_SECONDS``
+#: samples, so they swing by +-30% and compare only roughly.
 FUNCTIONAL_BEFORE = {
     "mcf": {"insns": 24215, "emulate_seconds": 0.0539,
             "emulate_insns_per_s": 449612.2, "trace_bytes_per_row": 119.1,
@@ -151,10 +163,35 @@ def _best(fn, rounds: int) -> float:
     return best
 
 
-def _functional_row(name: str, rounds: int) -> dict:
-    """Emulate speed, trace footprint and store I/O for *name*."""
-    program = build_program(name)
-    emulate_s = _best(lambda: run_program(program), rounds)
+def _emulate_seconds(names, rounds: int,
+                     sample_seconds: float) -> dict[str, tuple[float, int]]:
+    """Seconds per ``run_program`` call of each workload, and its runs
+    per sample.
+
+    Each of *rounds* passes takes one sample of every workload in turn,
+    so a slow spell of the host is shared out instead of sinking one
+    row.  A sample repeats the call until it has run for
+    *sample_seconds*; a workload keeps its best sample's time per call.
+    """
+    programs = {name: build_program(name) for name in names}
+    best = {name: (float("inf"), 0) for name in names}
+    for _ in range(rounds):
+        for name, program in programs.items():
+            repeats = 0
+            started = time.perf_counter()
+            while True:
+                run_program(program)
+                repeats += 1
+                elapsed = time.perf_counter() - started
+                if elapsed >= sample_seconds:
+                    break
+            best[name] = min(best[name], (elapsed / repeats, repeats))
+    return best
+
+
+def _functional_row(name: str, rounds: int, emulate_s: float,
+                    repeats: int) -> dict:
+    """Trace footprint and store I/O for *name*, with its emulate row."""
     trace, held = _trace_footprint(name)
     rows = len(trace)
     with tempfile.TemporaryDirectory() as root:
@@ -165,6 +202,7 @@ def _functional_row(name: str, rounds: int) -> dict:
         size = path.stat().st_size
     return {"insns": rows,
             "emulate_seconds": round(emulate_s, 4),
+            "emulate_runs_per_sample": repeats,
             "emulate_insns_per_s": round(rows / emulate_s, 1),
             "trace_bytes_per_row": round(held / rows, 1),
             "pickled_bytes_per_row": round(size / rows, 1),
@@ -319,7 +357,10 @@ def test_layers(benchmark, smoke):
     lines += [work_line(name, label) for name in work
               for label in ("baseline", "optimized")]
 
-    functional = {name: _functional_row(name, rounds) for name in workloads}
+    sample_seconds = 0.0 if smoke else EMULATE_SAMPLE_SECONDS
+    emulate = _emulate_seconds(workloads, rounds, sample_seconds)
+    functional = {name: _functional_row(name, rounds, *emulate[name])
+                  for name in workloads}
     functional_before = {} if smoke else FUNCTIONAL_BEFORE
 
     def functional_line(label, row):
@@ -328,7 +369,8 @@ def test_layers(benchmark, smoke):
                 f"{row['pickled_bytes_per_row']:>7.1f} "
                 f"{row['save_mb_per_s']:>6.1f} {row['load_mb_per_s']:>6.1f}")
 
-    lines += ["", f"functional layer, best of {rounds}",
+    lines += ["", f"functional layer, best of {rounds} (emulate samples "
+                  f"of >= {sample_seconds:g} s)",
               f"{'':14s} {'emulate/s':>10s} {'B/row':>7s} {'pickle':>7s} "
               f"{'save':>6s} {'load':>6s}  (trace bytes per row; "
               f"store MB/s)"]
@@ -350,6 +392,7 @@ def test_layers(benchmark, smoke):
         "work_rows": work_rows,
         "work_per_insn": {python: work},
         "work_before": WORK_BEFORE,
+        "emulate_sample_seconds": sample_seconds,
         "functional": functional,
         "functional_before": FUNCTIONAL_BEFORE,
         "max_trace_bytes_per_row": MAX_TRACE_BYTES_PER_ROW,
