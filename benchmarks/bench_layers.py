@@ -19,11 +19,10 @@ The functional rows cover the layer under the timing model: emulate
 insns/s (``run_program`` on an assembled program; each of ``ROUNDS``
 passes samples every workload in turn, a sample repeats the run until
 it covers ``EMULATE_SAMPLE_SECONDS``, and a row takes its best
-sample's time per run), the bytes a
-freshly built trace holds per row (a ``tracemalloc`` count, exact run
-to run), its pickled bytes per row, and
-``ArtifactStore.save_trace``/``load_trace`` MB/s on a temporary store
-(best of ``ROUNDS``).
+sample's time per run), the bytes a freshly built trace holds per row
+(a ``tracemalloc`` count, exact run to run), its pickled bytes per
+row, and ``ArtifactStore.save_trace``/``load_trace`` MB/s on a
+temporary store (best of ``ROUNDS``).
 
 ``BEFORE`` keeps the throughput rows as measured before the
 optimizer's table-driven fast path, ``WORK_BEFORE`` the work rows
