@@ -458,27 +458,8 @@ class _Evaluator:
 # strategies
 # ----------------------------------------------------------------------
 
-STRATEGIES = ("grid", "random", "halving")
-
 #: Default first-rung instruction budget for successive halving.
 DEFAULT_RUNG_INSNS = 2000
-
-
-def check_search_options(strategy: str, budget: int | None = None,
-                         rung_insns: int = DEFAULT_RUNG_INSNS) -> None:
-    """Raise ``ValueError`` unless the strategy options are usable.
-
-    The one home of these rules: :func:`run_search`, ``repro search``
-    (exit 2) and the service's submit check (HTTP 400) all call it, so
-    a bad value gets the same message wherever it is given.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one "
-                         f"of {', '.join(STRATEGIES)}")
-    if budget is not None and budget <= 0:
-        raise ValueError(f"budget must be > 0, got {budget}")
-    if rung_insns <= 0:
-        raise ValueError(f"rung_insns must be > 0, got {rung_insns}")
 
 
 def _search_grid(space: SearchSpace, evaluator: _Evaluator,
@@ -525,6 +506,24 @@ def _search_halving(space: SearchSpace, evaluator: _Evaluator,
 
 _STRATEGY_FUNCS = {"grid": _search_grid, "random": _search_random,
                    "halving": _search_halving}
+
+
+def check_search_options(strategy: str, budget: int | None = None,
+                         rung_insns: int = DEFAULT_RUNG_INSNS) -> None:
+    """Raise ``ValueError`` unless the strategy options are usable.
+
+    The one home of these rules: :func:`run_search`, ``repro search``
+    (exit 2) and the service's submit check (HTTP 400) all call it, so
+    a bad value gets the same message wherever it is given.
+    """
+    # service specs are JSON: a list must be refused, not be unhashable
+    if not isinstance(strategy, str) or strategy not in _STRATEGY_FUNCS:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one "
+                         f"of {', '.join(_STRATEGY_FUNCS)}")
+    if budget is not None and budget <= 0:
+        raise ValueError(f"budget must be > 0, got {budget}")
+    if rung_insns <= 0:
+        raise ValueError(f"rung_insns must be > 0, got {rung_insns}")
 
 
 # ----------------------------------------------------------------------

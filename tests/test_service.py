@@ -602,6 +602,11 @@ class TestSegmentPolicyJobs:
               "dims": ["optimizer.enabled=false,true"],
               "rung_mode": "sampled", "rung_period": 1},
              "unknown search spec keys ['rung_mode', 'rung_period']"),
+            # a JSON list is refused by name, not as unhashable
+            ({"kind": "search", "workloads": ["art"],
+              "dims": ["optimizer.enabled=false,true"],
+              "strategy": ["grid"]},
+             "unknown strategy ['grid']"),
         ]
 
         async def scenario():
