@@ -8,7 +8,9 @@ traces are emulated before timing starts, so the rows cover
 simulation only; each is the best of ``ROUNDS`` passes.
 
 The work rows count what ``Pipeline.run`` executes per retired
-instruction over the first ``WORK_ROWS`` rows of the same traces:
+instruction over the first ``WORK_ROWS`` rows of the same traces, with
+each renamer, and what ``Emulator.run_packed`` executes per emulated
+instruction over as many rows of each program:
 ``bytecodes_per_insn`` (bytecode instructions, from ``sys.settrace``
 opcode events, or ``sys.monitoring`` INSTRUCTION events on CPython
 3.12+) and ``calls_per_insn`` (Python-level function calls).  The
@@ -26,15 +28,16 @@ temporary store (best of ``ROUNDS``).
 
 ``BEFORE`` keeps the throughput rows as measured before the
 optimizer's table-driven fast path, ``WORK_BEFORE`` the work rows
-before the fused cycle loop and ``FUNCTIONAL_BEFORE`` the functional
-rows before the trace dropped its derived and source-value columns
-(same script, same 2-CPU container), so the published
-``BENCH_layers.json`` carries the before/after pairs.  The one gate is
-a count: mcf's trace may hold at most ``MAX_TRACE_BYTES_PER_ROW``
-bytes per row.  There is deliberately no timing gate: on a shared
-2-CPU container the optimizer/baseline ratio moves by more between
-runs than a regression gate could tolerate, and the work counts are a
-ledger, not a check.
+before the pipeline took over register release and ``FUNCTIONAL_BEFORE``
+the functional rows before the trace dropped its derived and
+source-value columns (same script, same 2-CPU container), so the
+published ``BENCH_layers.json`` carries the before/after pairs.  The
+one gate here is a count: mcf's trace may hold at most
+``MAX_TRACE_BYTES_PER_ROW`` bytes per row.  There is deliberately no
+timing gate: on a shared 2-CPU container the optimizer/baseline ratio
+moves by more between runs than a regression gate could tolerate.  The
+work counts are gated outside the bench: ``compare.py`` fails when a
+fresh row's bytecodes per instruction exceed the committed row's.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from conftest import publish
 
 from repro.engine.store import ArtifactStore
 from repro.functional import run_program
+from repro.functional.emulator import Emulator, decode_program
 from repro.uarch.config import default_config, optimized_config
 from repro.uarch.pipeline import make_pipeline, simulate_trace
 from repro.workloads import build_program, build_trace
@@ -87,24 +91,34 @@ BEFORE = {
 WORK_ROWS = 5000
 SMOKE_WORK_ROWS = 500
 
-#: The work rows before the fused cycle loop (per-stage methods, an
-#: event heap, per-instruction record construction), CPython 3.11.
+#: The work rows before the pipeline took over register release and
+#: issue selection, and before the ALU's in-range fast path, CPython
+#: 3.11 (the parent commit's counts, same rows).
 WORK_BEFORE = {
     "3.11": {
-        "mcf": {"baseline": {"bytecodes_per_insn": 1553.0,
-                             "calls_per_insn": 31.5},
-                "optimized": {"bytecodes_per_insn": 1692.6,
-                              "calls_per_insn": 32.1}},
-        "gcc": {"baseline": {"bytecodes_per_insn": 1445.6,
-                             "calls_per_insn": 30.4},
-                "optimized": {"bytecodes_per_insn": 1775.0,
-                              "calls_per_insn": 34.6}},
-        "synth:branchy": {"baseline": {"bytecodes_per_insn": 1448.4,
-                                       "calls_per_insn": 30.1},
-                          "optimized": {"bytecodes_per_insn": 1659.9,
-                                        "calls_per_insn": 32.4}},
+        "mcf": {"baseline": {"bytecodes_per_insn": 1061.6,
+                             "calls_per_insn": 9.3},
+                "optimized": {"bytecodes_per_insn": 1262.6,
+                              "calls_per_insn": 14.9},
+                "emulate": {"bytecodes_per_insn": 196.5,
+                            "calls_per_insn": 1.4}},
+        "gcc": {"baseline": {"bytecodes_per_insn": 957.8,
+                             "calls_per_insn": 9.0},
+                "optimized": {"bytecodes_per_insn": 1309.7,
+                              "calls_per_insn": 16.0},
+                "emulate": {"bytecodes_per_insn": 174.4,
+                            "calls_per_insn": 1.7}},
+        "synth:branchy": {"baseline": {"bytecodes_per_insn": 993.7,
+                                       "calls_per_insn": 9.1},
+                          "optimized": {"bytecodes_per_insn": 1227.5,
+                                        "calls_per_insn": 14.3},
+                          "emulate": {"bytecodes_per_insn": 163.6,
+                                      "calls_per_insn": 1.8}},
     },
 }
+
+#: The labels of each workload's work rows, in table order.
+WORK_LABELS = ("baseline", "optimized", "emulate")
 
 
 #: mcf's freshly built trace may hold at most this many bytes per row
@@ -211,7 +225,7 @@ def _functional_row(name: str, rounds: int, emulate_s: float,
             "load_mb_per_s": round(size / load_s / 1e6, 1)}
 
 
-def _run_counting_settrace(pipeline) -> tuple[int, int, int]:
+def _count_settrace(method, *args) -> tuple[int, int, object]:
     counts = [0, 0]  # bytecodes, calls
 
     def on_opcode(frame, event, arg):
@@ -227,13 +241,13 @@ def _run_counting_settrace(pipeline) -> tuple[int, int, int]:
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        retired = pipeline.run().retired
+        result = method(*args)
     finally:
         sys.settrace(previous)
-    return counts[0], counts[1], retired
+    return counts[0], counts[1], result
 
 
-def _run_counting_monitoring(pipeline) -> tuple[int, int, int]:
+def _count_monitoring(method, *args) -> tuple[int, int, object]:
     monitoring = sys.monitoring
     events = monitoring.events
     tool = monitoring.PROFILER_ID
@@ -252,26 +266,46 @@ def _run_counting_monitoring(pipeline) -> tuple[int, int, int]:
         monitoring.register_callback(tool, events.PY_START, on_start)
         monitoring.set_events(tool, events.INSTRUCTION | events.PY_START)
         try:
-            retired = pipeline.run().retired
+            result = method(*args)
         finally:
             monitoring.set_events(tool, events.NO_EVENTS)
     finally:
         monitoring.register_callback(tool, events.INSTRUCTION, None)
         monitoring.register_callback(tool, events.PY_START, None)
         monitoring.free_tool_id(tool)
-    return counts[0], counts[1], retired
+    return counts[0], counts[1], result
+
+
+def _count_work(method, *args) -> tuple[int, int, object]:
+    """Bytecodes and Python calls inside ``method(*args)``, and its
+    result; the call into *method* itself is not work done inside it."""
+    count = (_count_monitoring if sys.version_info >= (3, 12)
+             else _count_settrace)
+    bytecodes, calls, result = count(method, *args)
+    return bytecodes, calls - 1, result
+
+
+def _per_insn(bytecodes: int, calls: int, insns: int) -> dict:
+    return {"bytecodes_per_insn": round(bytecodes / insns, 1),
+            "calls_per_insn": round(calls / insns, 1)}
 
 
 def _work_row(trace, config) -> dict:
-    """Bytecodes and Python calls per retired instruction in ``run``."""
+    """Work per retired instruction in ``Pipeline.run``."""
     pipeline = make_pipeline(trace, config)
     trace.statics()  # built once per trace, not per instruction
-    count = (_run_counting_monitoring if sys.version_info >= (3, 12)
-             else _run_counting_settrace)
-    bytecodes, calls, retired = count(pipeline)
-    # the call into run itself is not work done inside it
-    return {"bytecodes_per_insn": round(bytecodes / retired, 1),
-            "calls_per_insn": round((calls - 1) / retired, 1)}
+    bytecodes, calls, stats = _count_work(pipeline.run)
+    return _per_insn(bytecodes, calls, stats.retired)
+
+
+def _emulate_work_row(name: str, rows: int) -> dict:
+    """Work per emulated instruction in ``Emulator.run_packed`` over
+    the program's first *rows* instructions."""
+    program = build_program(name)
+    decode_program(program)  # built once per program, not per row
+    bytecodes, calls, trace = _count_work(Emulator(program).run_packed,
+                                          rows)
+    return _per_insn(bytecodes, calls, len(trace))
 
 
 def _best_seconds(trace, config, rounds: int) -> tuple[float, int]:
@@ -318,7 +352,8 @@ def test_layers(benchmark, smoke):
     assert all(row["insns"] > 0 for row in rows.values())
     work_rows = SMOKE_WORK_ROWS if smoke else WORK_ROWS
     work = {name: {"baseline": _work_row(trace[:work_rows], baseline),
-                   "optimized": _work_row(trace[:work_rows], optimized)}
+                   "optimized": _work_row(trace[:work_rows], optimized),
+                   "emulate": _emulate_work_row(name, work_rows)}
             for name, trace in traces.items()}
     python = f"{sys.version_info.major}.{sys.version_info.minor}"
     # the before counts cover WORK_ROWS rows, not the smoke slice
@@ -350,11 +385,12 @@ def test_layers(benchmark, smoke):
                      f" {then['calls_per_insn']:.1f})")
         return text
 
-    lines += ["", f"work per instruction in Pipeline.run, rows 0-"
-                  f"{work_rows - 1:,}, CPython {python}",
-              f"{'':14s} {'renamer':10s} {'bytecodes':>9s} {'calls':>6s}"]
+    lines += ["", f"work per instruction in Pipeline.run (by renamer) and "
+                  f"Emulator.run_packed, rows 0-{work_rows - 1:,}, "
+                  f"CPython {python}",
+              f"{'':14s} {'':10s} {'bytecodes':>9s} {'calls':>6s}"]
     lines += [work_line(name, label) for name in work
-              for label in ("baseline", "optimized")]
+              for label in WORK_LABELS]
 
     sample_seconds = 0.0 if smoke else EMULATE_SAMPLE_SECONDS
     emulate = _emulate_seconds(workloads, rounds, sample_seconds)

@@ -24,10 +24,13 @@ displacement is the second source).  A handler takes the two resolved
 sources ``(a, b)`` — ``b`` is None for one-source opcodes — and
 returns a plain tuple ``(kind, value, sym, uses_alu,
 strength_reduced)`` whose ``kind`` is the integer :data:`EARLY`,
-:data:`REWRITTEN` or :data:`PLAIN`.  The renamer calls the table
-directly; :func:`transform` runs the same table and wraps the result
-in an :class:`Outcome`.  Early values always come from the shared ALU
-semantics in :mod:`repro.functional.alu`.
+:data:`REWRITTEN` or :data:`PLAIN`.  An early result folded from
+constants has ``sym`` None: its symbolic value is the constant
+``value``, which the caller builds only if it needs it.  The renamer
+calls the table directly; :func:`transform` runs the same table and
+wraps the result in an :class:`Outcome`.  Early values always come
+from the shared ALU semantics in :mod:`repro.functional.alu`, each in
+one call.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ def _add(a: SymVal, b: SymVal) -> tuple:
     if a[0] is None:
         if b[0] is None:
             value = _ALU_ADD(a[2], b[2])
-            return (EARLY, value, const(value), True, False)
+            return (EARLY, value, None, True, False)
         return (REWRITTEN, None, add_const(b, a[2]), True, False)
     if b[0] is None:
         return (REWRITTEN, None, add_const(a, b[2]), True, False)
@@ -115,7 +118,7 @@ def _sub(a: SymVal, b: SymVal) -> tuple:
     if b[0] is None:
         if a[0] is None:
             value = _ALU_SUB(a[2], b[2])
-            return (EARLY, value, const(value), True, False)
+            return (EARLY, value, None, True, False)
         return (REWRITTEN, None, add_const(a, -b[2]), True, False)
     # Only sym - const is representable.
     return _PLAIN
@@ -126,7 +129,7 @@ def _make_scaled_add(fn, shift: int):
         if a[0] is None:
             if b[0] is None:
                 value = fn(a[2], b[2])
-                return (EARLY, value, const(value), True, False)
+                return (EARLY, value, None, True, False)
             # (const << k) + sym  ->  sym + (const << k)
             return (REWRITTEN, None,
                     add_const(b, alu.to_signed64(a[2] << shift)),
@@ -144,7 +147,7 @@ def _shift_left(a: SymVal, b: SymVal) -> tuple:
     if b[0] is None:
         if a[0] is None:
             value = _ALU_SLL(a[2], b[2])
-            return (EARLY, value, const(value), True, False)
+            return (EARLY, value, None, True, False)
         shifted = shift_left(a, b[2] & 0x3F)
         if shifted is not None:
             return (REWRITTEN, None, shifted, True, False)
@@ -158,7 +161,7 @@ def _multiply(a: SymVal, b: SymVal) -> tuple:
             continue
         factor = multiplier[2]
         if factor == 0:
-            return (EARLY, 0, const(0), True, True)
+            return (EARLY, 0, None, True, True)
         if factor == 1:
             if other[0] is None:
                 return (EARLY, other[2], other, True, True)
@@ -167,7 +170,7 @@ def _multiply(a: SymVal, b: SymVal) -> tuple:
             shift = factor.bit_length() - 1
             if other[0] is None:
                 value = _ALU_SLL(other[2], shift)
-                return (EARLY, value, const(value), True, True)
+                return (EARLY, value, None, True, True)
             shifted = shift_left(other, shift)
             if shifted is not None:
                 return (REWRITTEN, None, shifted, True, True)
@@ -181,7 +184,7 @@ def _make_fold(fn):
     def fold(a: SymVal, b: SymVal) -> tuple:
         if a[0] is None and b[0] is None:
             value = fn(a[2], b[2])
-            return (EARLY, value, const(value), True, False)
+            return (EARLY, value, None, True, False)
         return _PLAIN
     return fold
 
@@ -190,7 +193,7 @@ def _make_unary_fold(fn):
     def unary_fold(a: SymVal, b: None) -> tuple:
         if a[0] is None:
             value = fn(a[2])
-            return (EARLY, value, const(value), True, False)
+            return (EARLY, value, None, True, False)
         return _PLAIN
     return unary_fold
 
@@ -228,6 +231,8 @@ def transform(opcode: Opcode, srcs: list[SymVal]) -> Outcome:
     """
     kind, value, sym, uses_alu, reduced = HANDLERS[OPCODE_ID[opcode]](
         srcs[0], srcs[1] if len(srcs) > 1 else None)
+    if kind == EARLY and sym is None:
+        sym = const(value)
     return Outcome(_KINDS[kind], value, sym, uses_alu, reduced)
 
 
@@ -250,10 +255,14 @@ def branch_implied_value(opcode: Opcode, taken: bool) -> int | None:
 BRANCH_TESTS = tuple(None if cond is None else alu.COND_TESTS[cond]
                      for cond in OP_COND)
 
-#: Per opcode id: :func:`branch_implied_value` for not taken and taken.
-IMPLIED_VALUES = tuple((branch_implied_value(opcode, False),
-                        branch_implied_value(opcode, True))
-                       for opcode in OPCODES_BY_ID)
+#: Per opcode id: the constant :func:`branch_implied_value` gives the
+#: source register when the branch is not taken and when it is taken
+#: (None where it gives nothing).
+IMPLIED_CONSTS = tuple(
+    tuple(None if value is None else const(value)
+          for value in (branch_implied_value(opcode, False),
+                        branch_implied_value(opcode, True)))
+    for opcode in OPCODES_BY_ID)
 
 
 def resolve_branch(cond: BranchCond, src: SymVal) -> bool | None:

@@ -53,12 +53,6 @@ class MBCEntry:
     is_fp: bool = False
 
 
-def _blocks(addr: int, size: int):
-    first = addr >> _BLOCK_SHIFT
-    last = (addr + size - 1) >> _BLOCK_SHIFT
-    return range(first, last + 1)
-
-
 class MemoryBypassCache:
     """Fixed-capacity, LRU, exact-tag-match bypass cache."""
 
@@ -111,7 +105,8 @@ class MemoryBypassCache:
             self._prf.add_refs((sym.base,))
         key = (addr, size)
         self._entries[key] = entry
-        for block in _blocks(addr, size):
+        for block in range(addr >> _BLOCK_SHIFT,
+                           ((addr + size - 1) >> _BLOCK_SHIFT) + 1):
             self._by_block.setdefault(block, set()).add(key)
 
     # ------------------------------------------------------------------
@@ -154,7 +149,8 @@ class MemoryBypassCache:
 
     def _remove_overlapping(self, addr: int, size: int) -> int:
         dropped = 0
-        for block in _blocks(addr, size):
+        for block in range(addr >> _BLOCK_SHIFT,
+                           ((addr + size - 1) >> _BLOCK_SHIFT) + 1):
             keys = self._by_block.get(block)
             if not keys:
                 continue
@@ -174,7 +170,9 @@ class MemoryBypassCache:
         entry = self._entries.pop(key)
         if entry.sym.base is not None:
             self._prf.release_all((entry.sym.base,))
-        for block in _blocks(entry.addr, entry.size):
+        addr, size = key
+        for block in range(addr >> _BLOCK_SHIFT,
+                           ((addr + size - 1) >> _BLOCK_SHIFT) + 1):
             keys = self._by_block.get(block)
             if keys is not None:
                 keys.discard(key)

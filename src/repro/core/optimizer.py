@@ -32,13 +32,14 @@ and the optimizer sheds that state under register pressure (dropping a
 hint is always safe).
 
 The rename stage runs once per dynamic instruction, so it is
-table-driven.  :meth:`OptimizingRenamer.rename` calls the category
-handler that a per-opcode-id table names, and integer ALU
-instructions call CP/RA's per-opcode handler table
-(:data:`repro.core.cpra.HANDLERS`) directly.  The integer registers'
-symbolic state lives in RAT-indexed lists, each source is resolved
-inline in one pass, a plain register's value is an interned per-preg
-:class:`SymVal`, and the configuration flags are read once at
+table-driven.  :meth:`OptimizingRenamer.rename` renames an integer ALU
+instruction, most of the stream, itself: it reads the instruction's
+two sources from a plan built once per static instruction and calls
+CP/RA's per-opcode handler table (:data:`repro.core.cpra.HANDLERS`)
+directly.  Every other instruction goes to the category handler that a
+per-opcode-id table names.  The integer registers' symbolic state
+lives in RAT-indexed lists, a plain register's value is an interned
+per-preg :class:`SymVal`, and the configuration flags are read once at
 construction.  Verification is unchanged: every produced value is
 compared with the oracle's, and any raw mismatch goes through the full
 normalized check of :meth:`OptimizingRenamer._verify`.
@@ -47,7 +48,7 @@ normalized check of :meth:`OptimizingRenamer._verify`.
 from __future__ import annotations
 
 from ..functional.alu import to_signed64
-from ..isa.instructions import Imm
+from ..isa.instructions import Imm, Instruction
 from ..isa.opcodes import (OP_SPEC_BY_ID, OPCODE_ID, OPCODES_BY_ID,
                            QUEUE_INT, OpClass, Opcode)
 from ..isa.registers import NUM_INT_REGS, ZERO_REG
@@ -57,7 +58,7 @@ from ..uarch.regfile import OutOfRegisters, PhysRegFile
 from ..uarch.rename import BaselineRenamer
 from ..uarch.stats import PipelineStats
 from . import cpra, symbolic
-from .cpra import BRANCH_TESTS, EARLY, IMPLIED_VALUES, REWRITTEN
+from .cpra import BRANCH_TESTS, EARLY, IMPLIED_CONSTS, REWRITTEN
 from .feedback import ValueFeedbackChannel
 from .mbc import MemoryBypassCache
 from .symbolic import SMALL_CONSTS, SymVal
@@ -105,6 +106,8 @@ _NO_TAG = (-1, 0, 0)
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
+_new_sym = tuple.__new__
+
 
 class VerificationError(Exception):
     """The optimizer produced a value that disagrees with the oracle."""
@@ -130,7 +133,14 @@ class OptimizingRenamer(BaselineRenamer):
         # folded, so the known-value probe sees an empty table.
         self._known = self.feedback.known if ocfg.enable_feedback else {}
         self._fb_pending = self.feedback.pending
+        self._publish_value = self.feedback.publish
+        self._add_refs = prf.add_refs
+        self._allocate = prf.allocate
         self._cpra = cpra.HANDLERS
+        # Source plans of the integer ALU instructions seen so far, by
+        # ``id`` of the static instruction (see :meth:`_plan`).
+        self._plans: dict[int, tuple] = {}
+        self._planned: list[Instruction] = []
         self._plains = symbolic.plains(prf.num_regs)
         # Pending MBC writes: applied at the next bundle boundary so no
         # dependence within a rename packet is satisfied by RLE/SF
@@ -181,14 +191,114 @@ class OptimizingRenamer(BaselineRenamer):
         self._bundle_id += 1
 
     # ==================================================================
-    # rename entry point
+    # rename: integer ALU instructions inline, the rest by category
     # ==================================================================
+
+    def _plan(self, instr: Instruction) -> tuple:
+        """How :meth:`rename` reads integer ALU *instr*'s two sources.
+
+        ``(arch_a, a, arch_b, b)``: a register source is its
+        architectural index and None, to be resolved per instruction;
+        an immediate (or ``lda``'s displacement, its second source) is
+        -1 and its constant; a missing source is -1 and None.  Built
+        once per static instruction, which the plan table keeps alive
+        so its ``id`` stays unique.
+        """
+        operands = [(-1, None), (-1, None)]
+        for index, src in enumerate(instr.srcs):
+            operand = ((-1, symbolic.const(src.value)) if type(src) is Imm
+                       else (src.index, None))
+            operands[min(index, 1)] = operand
+        if OPCODE_ID[instr.opcode] == _LDA_ID:
+            operands[1] = (-1, symbolic.const(instr.disp))
+        plan = operands[0] + operands[1]
+        self._plans[id(instr)] = plan
+        self._planned.append(instr)
+        return plan
 
     def rename(self, di: DynInstr, cycle: int) -> None:
         if di.arch_dst >= 0 and not self._free:
             raise OutOfRegisters("no free physical registers")
-        di.rename_cycle = cycle
-        _HANDLER_BY_OP[di.op](self, di)
+        handler = _HANDLER_BY_OP[di.op]
+        if handler is not None:
+            handler(self, di)
+            return
+        # An integer ALU instruction, most of the stream: CP/RA.
+        instr = di.instr
+        try:
+            arch_a, a, arch_b, b = self._plans[id(instr)]
+        except KeyError:
+            arch_a, a, arch_b, b = self._plan(instr)
+        # Resolve each register source: its value is folded with its
+        # base's fed-back value when one is recorded; depth tags of
+        # this bundle's producers accumulate into the chain depths.
+        syms = self._syms
+        tags = self._tags
+        known = self._known
+        bundle_id = self._bundle_id
+        depth = mem_chain = 0
+        if arch_a >= 0:
+            a = syms[arch_a]
+            if a[0] in known:
+                a = self._fold(arch_a, a)
+            tag = tags[arch_a]
+            if tag[0] == bundle_id:
+                depth = tag[1]
+                mem_chain = tag[2]
+        if arch_b >= 0:
+            b = syms[arch_b]
+            if b[0] in known:
+                b = self._fold(arch_b, b)
+            tag = tags[arch_b]
+            if tag[0] == bundle_id:
+                if tag[1] > depth:
+                    depth = tag[1]
+                if tag[2] > mem_chain:
+                    mem_chain = tag[2]
+        kind, value, sym, uses_alu, reduced = self._cpra[di.op](a, b)
+        if uses_alu and depth > self._add_depth:
+            # This transformation would chain one more serial addition
+            # onto this cycle's optimizer ALUs than the hardware has.
+            self.stat_depth_rejections += 1
+            kind = cpra.PLAIN
+            reduced = False
+        elif kind != EARLY and not self._opt:
+            # Feedback-only mode: no symbolic rewriting.
+            kind = cpra.PLAIN
+            reduced = False
+        if reduced:
+            self.stat_strength_reductions += 1
+            di.queue_idx = QUEUE_INT
+        if kind == EARLY:
+            if value != di.result:
+                self._verify(di, value, di.result, "early value")
+            di.early = True
+            self.stat_early += 1
+            if uses_alu:
+                depth += 1
+            if sym is None:
+                # Folded from constants by the ALU, so in signed range:
+                # intern it as :func:`symbolic.const` would.
+                sym = (SMALL_CONSTS[value + 256] if -256 <= value <= 256
+                       else _new_sym(SymVal, (None, 0, value)))
+            dst = self._allocate_dst(di, sym, depth, mem_chain)
+            if dst is not None and self._opt:
+                # Recording the computed value is constant propagation;
+                # in feedback-only mode (Figure 9) the result instead
+                # returns through the normal delayed feedback path.
+                self.feedback.record_known(dst, value)
+            return
+        if kind == REWRITTEN:
+            self.stat_rewritten += 1
+            if uses_alu:
+                depth += 1
+            base = sym[0]
+            if base is not None:
+                di.src_pregs = (base,)
+            self._allocate_dst(di, sym, depth, mem_chain)
+            return
+        di.src_pregs = tuple(map(self._mapping_of, di.arch_srcs))
+        self._allocate_dst(di, None)
 
     # ------------------------------------------------------------------
     # RAT symbolic-state updates
@@ -233,7 +343,7 @@ class OptimizingRenamer(BaselineRenamer):
         dst = di.arch_dst
         if dst < 0:
             return None
-        preg = self._prf.allocate()
+        preg = self._allocate()
         # Any known-value record of the register's previous life is
         # stale; dropping it keeps the probes in the handlers precise.
         self._known.pop(preg, None)
@@ -283,86 +393,6 @@ class OptimizingRenamer(BaselineRenamer):
     # instruction-category handlers
     # ==================================================================
 
-    def _rename_int_alu(self, di: DynInstr) -> None:
-        instr = di.instr
-        # Resolve every source in one pass: immediates become
-        # constants; a register's value is folded with its base's
-        # fed-back value when one is recorded; depth tags of this
-        # bundle's producers accumulate into the chain depths.
-        syms = self._syms
-        tags = self._tags
-        known = self._known
-        bundle_id = self._bundle_id
-        depth = 0
-        mem_chain = 0
-        a = b = None
-        for src in instr.srcs:
-            if type(src) is Imm:
-                value = src.value
-                sym = (SMALL_CONSTS[value + 256] if -256 <= value <= 256
-                       else symbolic.const(value))
-            else:
-                arch = src.index
-                sym = syms[arch]
-                if sym[0] in known:
-                    sym = self._fold(arch, sym)
-                tag = tags[arch]
-                if tag[0] == bundle_id:
-                    if tag[1] > depth:
-                        depth = tag[1]
-                    if tag[2] > mem_chain:
-                        mem_chain = tag[2]
-            if a is None:
-                a = sym
-            else:
-                b = sym
-        op = di.op
-        if op == _LDA_ID:
-            value = instr.disp
-            b = (SMALL_CONSTS[value + 256] if -256 <= value <= 256
-                 else symbolic.const(value))
-        kind, value, sym, uses_alu, reduced = self._cpra[op](a, b)
-        if uses_alu and depth > self._add_depth:
-            # This transformation would chain one more serial addition
-            # onto this cycle's optimizer ALUs than the hardware has.
-            self.stat_depth_rejections += 1
-            kind = cpra.PLAIN
-            reduced = False
-        elif kind != EARLY and not self._opt:
-            # Feedback-only mode: no symbolic rewriting.
-            kind = cpra.PLAIN
-            reduced = False
-        if reduced:
-            self.stat_strength_reductions += 1
-            di.sched_class = OpClass.INT_SIMPLE
-            di.queue_idx = QUEUE_INT
-        if kind == EARLY:
-            if value != di.result:
-                self._verify(di, value, di.result, "early value")
-            di.early = True
-            self.stat_early += 1
-            if uses_alu:
-                depth += 1
-            dst = self._allocate_dst(di, sym, depth, mem_chain)
-            if dst is not None and self._opt:
-                # Recording the computed value is constant propagation;
-                # in feedback-only mode (Figure 9) the result instead
-                # returns through the normal delayed feedback path.
-                self.feedback.record_known(dst, value)
-            return
-        if kind == REWRITTEN:
-            self.stat_rewritten += 1
-            if uses_alu:
-                depth += 1
-            base = sym[0]
-            if base is not None:
-                di.src_pregs = self._add_refs((base,))
-            self._allocate_dst(di, sym, depth, mem_chain)
-            return
-        di.src_pregs = self._add_refs(map(self._mapping_of,
-                                          di.arch_srcs))
-        self._allocate_dst(di, None)
-
     def _rename_branch(self, di: DynInstr) -> None:
         arch = di.reg_srcs[0]
         sym = self._syms[arch]
@@ -384,14 +414,13 @@ class OptimizingRenamer(BaselineRenamer):
             else:
                 self.stat_depth_rejections += 1
         if not di.early:
-            di.src_pregs = self._add_refs(map(self._mapping_of,
-                                              di.arch_srcs))
+            di.src_pregs = tuple(map(self._mapping_of, di.arch_srcs))
         if self._opt:
             # The zero registers always resolve to a constant, so they
             # never take an inferred value.
-            implied = IMPLIED_VALUES[di.op][di.taken == 1]
+            implied = IMPLIED_CONSTS[di.op][di.taken == 1]
             if implied is not None and sym[0] is not None:
-                self._set_sym(arch, symbolic.const(implied))
+                self._set_sym(arch, implied)
                 self.stat_branch_inferences += 1
 
     def _rename_jump(self, di: DynInstr) -> None:
@@ -426,7 +455,7 @@ class OptimizingRenamer(BaselineRenamer):
                 di.early = True
                 self.stat_early += 1
                 return
-        di.src_pregs = self._add_refs(map(self._mapping_of,
+        di.src_pregs = tuple(map(self._mapping_of,
                                           di.arch_srcs))
 
     def _rename_load(self, di: DynInstr) -> None:
@@ -445,10 +474,9 @@ class OptimizingRenamer(BaselineRenamer):
         # Address not available at rename: agen depends on the
         # (possibly reassociated) base register.
         if self._opt and base is not None:
-            di.src_pregs = self._add_refs((base,))
+            di.src_pregs = (base,)
         else:
-            di.src_pregs = self._add_refs(map(self._mapping_of,
-                                              di.arch_srcs))
+            di.src_pregs = tuple(map(self._mapping_of, di.arch_srcs))
         self._allocate_dst(di, None)
 
     def _rename_known_load(self, di: DynInstr, addr: int) -> None:
@@ -518,9 +546,9 @@ class OptimizingRenamer(BaselineRenamer):
             return True
         # Offset/scaled forward: becomes a single-cycle move computing
         # (base << scale) + offset on a simple ALU.
-        di.sched_class = OpClass.INT_SIMPLE
         di.queue_idx = QUEUE_INT
-        di.src_pregs = self._add_refs((base,))
+        di.exec_latency = 1
+        di.src_pregs = (base,)
         self._allocate_dst(di, sym, 0, 1)
         return True
 
@@ -528,7 +556,7 @@ class OptimizingRenamer(BaselineRenamer):
         """Collapse *di* into a RAT remap onto an existing register."""
         di.early = True
         self.stat_early += 1
-        self._prf.add_refs((preg,))  # the new architectural-mapping reference
+        self._add_refs((preg,))  # the new architectural-mapping reference
         di.prev_preg = self.rat.remap(di.arch_dst, preg)
         di.dst_preg = None
 
@@ -601,7 +629,7 @@ class OptimizingRenamer(BaselineRenamer):
             if preg is not None:
                 deps.append(preg)
         if deps:
-            di.src_pregs = self._add_refs(deps)
+            di.src_pregs = tuple(deps)
         if not (addr_known and self._rle_sf):
             return
         # The emulator records a store's data value as the row's
@@ -629,13 +657,12 @@ class OptimizingRenamer(BaselineRenamer):
             (_PENDING_INSERT, addr, size, sym, expected, is_fp))
         base = sym[0]
         if base is not None:
-            self._prf.add_refs((base,))
+            self._add_refs((base,))
             self._pending_refs.append(base)
 
     def _rename_plain(self, di: DynInstr) -> None:
         if di.arch_srcs:
-            di.src_pregs = self._add_refs(map(self._mapping_of,
-                                              di.arch_srcs))
+            di.src_pregs = tuple(map(self._mapping_of, di.arch_srcs))
         self._allocate_dst(di, None)
 
     # ==================================================================
@@ -643,8 +670,6 @@ class OptimizingRenamer(BaselineRenamer):
     # ==================================================================
 
     def on_complete(self, di: DynInstr, cycle: int) -> None:
-        if di.src_pregs:
-            self._prf.release_all(di.src_pregs)
         preg = di.dst_preg
         if preg is None or not self._publish:
             return
@@ -652,7 +677,7 @@ class OptimizingRenamer(BaselineRenamer):
         if isinstance(result, int) and di.arch_dst < NUM_INT_REGS:
             if result > _INT64_MAX or result < _INT64_MIN:
                 result = to_signed64(result)
-            self.feedback.publish(preg, result, cycle)
+            self._publish_value(preg, result, cycle)
 
     def on_store_executed(self, di: DynInstr) -> None:
         if di.addr_known and self._rle_sf:
@@ -690,13 +715,13 @@ class OptimizingRenamer(BaselineRenamer):
         })
 
 
-# The per-category handler of every opcode id, as plain functions: a
+# The per-category handler of every opcode id, as plain functions (a
 # tuple of bound methods on each renamer would form a reference cycle
-# that keeps every finished renamer (and its register file, MBC and
-# known-value table) alive until the next full garbage collection.
+# that keeps every finished renamer, and its register file, MBC and
+# known-value table, alive until the next full garbage collection).
+# None marks the integer ALU opcodes, which rename handles inline.
 _HANDLER_BY_OP = tuple(
     (OptimizingRenamer._rename_branch, OptimizingRenamer._rename_jump,
      OptimizingRenamer._rename_load, OptimizingRenamer._rename_store,
-     OptimizingRenamer._rename_int_alu,
-     OptimizingRenamer._rename_plain)[kind]
+     None, OptimizingRenamer._rename_plain)[kind]
     for kind in _RENAME_KIND)

@@ -301,8 +301,13 @@ _WORKER_ENV: ExecutionEnv | None = None
 
 
 def _init_unit_worker(store_dir: str | None) -> None:
-    """Pool initializer: bind this worker process to one environment."""
+    """Pool initializer: bind this worker process to one environment.
+
+    A forked worker starts with a copy of the driver's telemetry; it
+    is dropped, so the worker ships home only what it records itself.
+    """
     global _WORKER_ENV
+    TELEMETRY.reset()
     _WORKER_ENV = ExecutionEnv(store_dir)
 
 

@@ -44,10 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, ClassVar
-
-#: The signature every engine ``progress=`` callback now has.
-ProgressCallback = Callable[["Event"], None]
+from typing import ClassVar
 
 
 @dataclass(frozen=True)

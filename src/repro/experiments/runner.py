@@ -23,7 +23,6 @@ import atexit
 import math
 import shutil
 import tempfile
-from dataclasses import dataclass
 
 from ..engine.backend import BACKEND_NAMES, ExecutionBackend
 from ..engine.campaign import SweepPoint
@@ -342,20 +341,3 @@ def workload_names(suite: str | None = None,
     if suite is not None:
         names = [w.name for w in ALL_WORKLOADS if w.suite == suite]
     return names
-
-
-@dataclass(frozen=True)
-class SuiteAverages:
-    """Per-suite aggregate of one metric across its workloads."""
-
-    suite: str
-    workloads: tuple[str, ...]
-    values: tuple[float, ...]
-
-    @property
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values)
-
-    @property
-    def geomean(self) -> float:
-        return geomean(list(self.values))

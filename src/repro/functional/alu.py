@@ -53,10 +53,6 @@ def zero_extend(value: int, size: int) -> int:
     return value & ((1 << (size * 8)) - 1)
 
 
-def _shift_amount(value: int) -> int:
-    return value & 0x3F
-
-
 def _div_trunc(a: int, b: int) -> int:
     if b == 0:
         return 0  # Alpha-style: no trap in this ISA; define as zero
@@ -72,34 +68,52 @@ def _rem_trunc(a: int, b: int) -> int:
     return to_signed64(a - _div_trunc(a, b) * b)
 
 
+# An operation wraps its result only when it leaves the signed range:
+# for in-range inputs most never do, and the check costs less than the
+# call to :func:`to_signed64` it saves.
 _INT_OPS = {
-    Opcode.ADD: lambda a, b: to_signed64(a + b),
-    Opcode.SUB: lambda a, b: to_signed64(a - b),
-    Opcode.AND: lambda a, b: to_signed64(a & b),
-    Opcode.OR: lambda a, b: to_signed64(a | b),
-    Opcode.XOR: lambda a, b: to_signed64(a ^ b),
-    Opcode.BIC: lambda a, b: to_signed64(a & ~b),
-    Opcode.SLL: lambda a, b: to_signed64(a << _shift_amount(b)),
-    Opcode.SRL: lambda a, b: to_signed64(
-        to_unsigned64(a) >> _shift_amount(b)),
-    Opcode.SRA: lambda a, b: to_signed64(a >> _shift_amount(b)),
-    Opcode.S4ADD: lambda a, b: to_signed64((a << 2) + b),
-    Opcode.S8ADD: lambda a, b: to_signed64((a << 3) + b),
+    Opcode.ADD: lambda a, b: (
+        v if INT64_MIN <= (v := a + b) <= INT64_MAX else to_signed64(v)),
+    Opcode.SUB: lambda a, b: (
+        v if INT64_MIN <= (v := a - b) <= INT64_MAX else to_signed64(v)),
+    Opcode.AND: lambda a, b: (
+        v if INT64_MIN <= (v := a & b) <= INT64_MAX else to_signed64(v)),
+    Opcode.OR: lambda a, b: (
+        v if INT64_MIN <= (v := a | b) <= INT64_MAX else to_signed64(v)),
+    Opcode.XOR: lambda a, b: (
+        v if INT64_MIN <= (v := a ^ b) <= INT64_MAX else to_signed64(v)),
+    Opcode.BIC: lambda a, b: (
+        v if INT64_MIN <= (v := a & ~b) <= INT64_MAX else to_signed64(v)),
+    Opcode.SLL: lambda a, b: (
+        v if INT64_MIN <= (v := a << (b & 0x3F)) <= INT64_MAX
+        else to_signed64(v)),
+    Opcode.SRL: lambda a, b: (
+        v if (v := (a & _MASK64) >> (b & 0x3F)) <= INT64_MAX
+        else to_signed64(v)),
+    Opcode.SRA: lambda a, b: (
+        v if INT64_MIN <= (v := a >> (b & 0x3F)) <= INT64_MAX
+        else to_signed64(v)),
+    Opcode.S4ADD: lambda a, b: (
+        v if INT64_MIN <= (v := (a << 2) + b) <= INT64_MAX
+        else to_signed64(v)),
+    Opcode.S8ADD: lambda a, b: (
+        v if INT64_MIN <= (v := (a << 3) + b) <= INT64_MAX
+        else to_signed64(v)),
     Opcode.CMPEQ: lambda a, b: 1 if a == b else 0,
     Opcode.CMPNE: lambda a, b: 1 if a != b else 0,
     Opcode.CMPLT: lambda a, b: 1 if a < b else 0,
     Opcode.CMPLE: lambda a, b: 1 if a <= b else 0,
-    Opcode.CMPULT: lambda a, b: 1 if to_unsigned64(a) < to_unsigned64(b)
-    else 0,
-    Opcode.CMPULE: lambda a, b: 1 if to_unsigned64(a) <= to_unsigned64(b)
-    else 0,
-    Opcode.MUL: lambda a, b: to_signed64(a * b),
+    Opcode.CMPULT: lambda a, b: 1 if a & _MASK64 < b & _MASK64 else 0,
+    Opcode.CMPULE: lambda a, b: 1 if a & _MASK64 <= b & _MASK64 else 0,
+    Opcode.MUL: lambda a, b: (
+        v if INT64_MIN <= (v := a * b) <= INT64_MAX else to_signed64(v)),
     Opcode.DIV: _div_trunc,
     Opcode.REM: _rem_trunc,
 }
 
 _UNARY_INT_OPS = {
-    Opcode.MOV: lambda a: to_signed64(a),
+    Opcode.MOV: lambda a: (
+        a if INT64_MIN <= a <= INT64_MAX else to_signed64(a)),
     Opcode.SEXTB: lambda a: sign_extend(a, 1),
     Opcode.SEXTW: lambda a: sign_extend(a, 2),
     Opcode.SEXTL: lambda a: sign_extend(a, 4),

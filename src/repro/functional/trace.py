@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..isa.instructions import Instruction
-from ..isa.opcodes import (DISPATCH_TABLE_BUILD_SECONDS, OP_CLASS_BY_ID,
-                           OP_IS_CONTROL, OP_IS_LOAD, OP_IS_STORE,
-                           OP_MEM_SIZE, OP_QUEUE, OPCODE_ID, Opcode)
+from ..isa.opcodes import (DISPATCH_TABLE_BUILD_SECONDS, OP_IS_CONTROL,
+                           OP_IS_LOAD, OP_IS_STORE, OP_LATENCY, OP_MEM_SIZE,
+                           OP_QUEUE, OPCODE_ID, Opcode)
 from ..isa.registers import is_zero_reg
 
 #: Column sentinels: ``addrs`` uses -1 for "no effective address" and
@@ -116,7 +116,7 @@ def static_record(instr: Instruction, reg_srcs: tuple[int, ...]) -> tuple:
     """Everything the timing model reads from one static instruction.
 
     ``(instr, reg_srcs, op, mem_size, is_load, is_store, is_control,
-    sched_class, queue_idx, arch_srcs, arch_dst)``: the opcode id and
+    latency, queue_idx, arch_srcs, arch_dst)``: the opcode id and
     its flat-table properties, the register sources with the zero
     registers dropped, and the destination register, or -1 when there
     is none or it is a zero register.
@@ -127,7 +127,7 @@ def static_record(instr: Instruction, reg_srcs: tuple[int, ...]) -> tuple:
     if arch_srcs == reg_srcs:
         arch_srcs = reg_srcs  # share the tuple; most drop nothing
     return (instr, reg_srcs, op, OP_MEM_SIZE[op], OP_IS_LOAD[op],
-            OP_IS_STORE[op], OP_IS_CONTROL[op], OP_CLASS_BY_ID[op],
+            OP_IS_STORE[op], OP_IS_CONTROL[op], OP_LATENCY[op],
             OP_QUEUE[op], arch_srcs,
             -1 if dst is None or is_zero_reg(dst) else dst)
 

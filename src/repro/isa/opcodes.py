@@ -280,7 +280,6 @@ _build_started = _time.perf_counter()
 
 #: Opcodes in definition order; the index of an opcode here is its id.
 OPCODES_BY_ID: tuple[Opcode, ...] = tuple(Opcode)
-NUM_OPCODES: int = len(OPCODES_BY_ID)
 #: Opcode -> stable small-integer id (definition order).
 OPCODE_ID: dict[Opcode, int] = {op: i for i, op in enumerate(OPCODES_BY_ID)}
 
@@ -302,22 +301,13 @@ def _table(field):
 
 
 OP_SPEC_BY_ID: tuple[OpSpec, ...] = _table(lambda s: s)
-OP_CLASS_BY_ID: tuple[OpClass, ...] = _table(lambda s: s.op_class)
 OP_LATENCY: tuple[int, ...] = _table(lambda s: s.latency)
-OP_SIMPLE: tuple[bool, ...] = _table(lambda s: s.simple)
-OP_NUM_SRCS: tuple[int, ...] = _table(lambda s: s.num_srcs)
-OP_HAS_DST: tuple[bool, ...] = _table(lambda s: s.has_dst)
 OP_IS_LOAD: tuple[bool, ...] = _table(lambda s: s.is_load)
 OP_IS_STORE: tuple[bool, ...] = _table(lambda s: s.is_store)
 OP_IS_BRANCH: tuple[bool, ...] = _table(lambda s: s.is_branch)
-OP_IS_JUMP: tuple[bool, ...] = _table(lambda s: s.is_jump)
-OP_IS_INDIRECT: tuple[bool, ...] = _table(lambda s: s.is_indirect)
-OP_IS_MEM: tuple[bool, ...] = _table(lambda s: s.is_load or s.is_store)
 OP_IS_CONTROL: tuple[bool, ...] = _table(lambda s: s.is_branch or s.is_jump)
 OP_MEM_SIZE: tuple[int, ...] = _table(lambda s: s.mem_size)
-OP_MEM_SIGNED: tuple[bool, ...] = _table(lambda s: s.mem_signed)
 OP_COND: tuple[BranchCond | None, ...] = _table(lambda s: s.cond)
-OP_WRITES_FP: tuple[bool, ...] = _table(lambda s: s.writes_fp)
 OP_QUEUE: tuple[int, ...] = _table(lambda s: _CLASS_QUEUE[s.op_class])
 
 #: Wall-clock seconds spent building the dispatch tables above (reported

@@ -8,8 +8,8 @@ static-instruction table (:meth:`PackedTrace.statics
 packed trace columns (result, effective address, branch outcome, next
 pc), physical register operands after
 rename/optimization, readiness bookkeeping, the optimizer outcome
-flags (early execution, removed load, known address), and the cycle
-timestamps used to compute latencies.
+flags (early execution, removed load, known address), its execution
+latency and its issue cycle.
 
 The hot stages read the direct fields — ``op`` (small-integer opcode
 id, indexing the flat tables in :mod:`repro.isa.opcodes`), ``result``,
@@ -17,10 +17,14 @@ id, indexing the flat tables in :mod:`repro.isa.opcodes`), ``result``,
 and never materialize a :class:`~repro.functional.trace.TraceEntry`.
 
 Field conventions: ``addr`` is ``-1`` for non-memory instructions;
-``taken`` is ``-1`` for non-control instructions, else ``0``/``1``;
+``taken`` (``0``/``1``) and ``next_pc`` are set for control
+instructions only;
 ``arch_srcs`` lists the register sources without the zero registers;
 ``arch_dst`` is ``-1`` when the instruction writes no register (or
-writes a zero register).
+writes a zero register).  ``exec_latency`` starts as the opcode's
+latency; a renamer that turns a load into a register move sets it to
+1, and issue sets a memory operation's from its address generation and
+cache access.
 """
 
 from __future__ import annotations
@@ -33,43 +37,39 @@ class DynInstr:
 
     __slots__ = (
         "instr", "reg_srcs", "op", "mem_size", "is_load", "is_store",
-        "is_control", "sched_class", "queue_idx", "arch_srcs", "arch_dst",
+        "is_control", "exec_latency", "queue_idx", "arch_srcs", "arch_dst",
         "seq", "result", "addr", "taken", "next_pc",
         "src_pregs", "dst_preg", "prev_preg",
         "deps_remaining", "store_dep",
         "early", "removed_load", "addr_known",
-        "mispredicted", "early_resolved", "misspec_flush",
-        "rename_cycle", "issue_cycle", "complete_cycle",
-        "completed", "retired", "exec_latency",
+        "mispredicted", "misspec_flush",
+        "issue_cycle", "completed", "retired",
     )
 
     def __init__(self, static: tuple, trace: PackedTrace, row: int):
         """Row *row* of *trace*, whose static record is *static*."""
         (self.instr, self.reg_srcs, self.op, self.mem_size, self.is_load,
-         self.is_store, self.is_control, self.sched_class, self.queue_idx,
+         self.is_store, self.is_control, self.exec_latency, self.queue_idx,
          self.arch_srcs, self.arch_dst) = static
         self.seq = trace.first_seq + row
         self.result = trace.results[row]
         self.addr = trace.addrs[row]
-        self.taken = trace.takens[row]
-        self.next_pc = trace.next_pcs[row]
+        if self.is_control:  # nothing reads the others' outcome
+            self.taken = trace.takens[row]
+            self.next_pc = trace.next_pcs[row]
         self.src_pregs: tuple[int, ...] = ()
         self.dst_preg: int | None = None
         self.prev_preg: int | None = None
-        self.deps_remaining = 0
+        # deps_remaining is set at dispatch, before anything reads it.
         self.store_dep: DynInstr | None = None
         self.early = False
         self.removed_load = False
         self.addr_known = False
         self.mispredicted = False
-        self.early_resolved = False
         self.misspec_flush = False
-        self.rename_cycle = -1
         self.issue_cycle = -1
-        self.complete_cycle = -1
         self.completed = False
         self.retired = False
-        self.exec_latency = 0
 
     @property
     def opcode(self):

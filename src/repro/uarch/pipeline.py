@@ -35,16 +35,26 @@ materializing per-entry objects.
 :meth:`Pipeline.run` is one loop.  Each cycle runs writeback, issue,
 dispatch, rename, fetch and retire inline over local variables; the
 counters stay in locals and reach :class:`PipelineStats` once, when
-the run ends.  Wakeup and completion events wait in per-cycle
-buckets; a bucket is sorted by ``(seq, kind)`` when its cycle is
-written back, which is the ``(cycle, seq, kind)`` order of a single
-event heap.  An event scheduled for a cycle already written back (a
-zero-cycle rename stage) runs at the next writeback, ahead of that
-cycle's own bucket, as it would from the heap.  Each issue queue
-keeps its ready entries in a heap of their own, from which
-:meth:`SchedulerBank.select_all
-<repro.uarch.scheduler.SchedulerBank.select_all>`, the issue policy,
-takes the oldest.
+the run ends.  Each cycle's events wait in a bucket of two lists: the
+instructions whose results wake their consumers, in any order, and
+the instructions that complete, sorted by sequence number when the
+cycle is written back.  Wakeups commute (a waking register is live,
+no two in-flight producers share one, and a wakeup only marks its
+register ready, counts down its waiters and pushes onto heaps ordered
+by sequence number), so only completions, which release registers and
+so set the free list's order, keep the ``(cycle, seq)`` order of a
+single event heap.  A completion scheduled for a cycle already written
+back (a zero-cycle rename stage) runs at the next writeback, ahead of
+that cycle's own, as it would from the heap.  Each issue queue keeps
+its ready entries in a heap of their own, from which the issue stage,
+the issue policy, takes the oldest.
+
+The pipeline owns the references of in-flight instructions (see
+:mod:`repro.uarch.regfile`): rename names each instruction's physical
+sources and the pipeline takes one reference per source once rename
+succeeds, releases them when the instruction completes, and releases
+the mapping the instruction replaced when it retires.  Renamer hooks
+left at :class:`Renamer`'s no-ops are never called.
 
 The per-cycle loop fast-forwards across *provably idle* stretches —
 cycles where no event fires, no queue holds a ready instruction, and
@@ -66,11 +76,12 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from heapq import heappush
+from heapq import heappop, heappush
+from operator import attrgetter, itemgetter
 
 from ..functional.emulator import ArchState
 from ..functional.trace import PackedTrace
-from ..isa.opcodes import OP_LATENCY, OPCODE_ID, QUEUE_MEM, Opcode
+from ..isa.opcodes import OPCODE_ID, QUEUE_MEM, Opcode
 from .branch_predictor import FrontEndPredictor
 from .caches import MemoryHierarchy
 from .config import MachineConfig
@@ -82,9 +93,10 @@ from .stats import PipelineStats
 
 _BLOCK_SHIFT = 3  # 8-byte blocks for memory-dependence tracking
 
-#: Event kinds, in the order a bucket runs one instruction's events.
-_EV_WAKEUP = 0
-_EV_COMPLETE = 1
+#: Completions run in this order (dynamic sequence number).
+_seq_of = attrgetter("seq")
+#: Whether an issue port's ready heap holds anything.
+_has_ready = itemgetter(0)
 
 _NOP_ID = OPCODE_ID[Opcode.NOP]
 
@@ -135,22 +147,32 @@ class Pipeline:
         iidx = trace.iidx
         pcs = [record[0].pc for record in statics]  # by static index
         n_rows = len(trace)
+        if not n_rows:
+            self._finalize_stats()
+            return self.stats
         new_instr = DynInstr
-        preg_ready = self.prf.ready
-        preg_values = self.prf.values
+        prf = self.prf
+        refcounts = prf.refcounts
+        versions = prf.versions
+        preg_ready = prf.ready
+        preg_values = prf.values
+        free_append = prf.free_list.append
         # The renamer's hooks and the replay hook are looked up at every
         # run, so a method patched onto the class is the one called.
         # A hook the renamer leaves at the interface's no-op is skipped.
         renamer = self.renamer
+        renamer_class = type(renamer)
         begin_bundle = renamer.begin_bundle
-        bundle_hook = type(renamer).begin_bundle is not Renamer.begin_bundle
+        bundle_hook = renamer_class.begin_bundle is not Renamer.begin_bundle
         rename = renamer.rename
         relieve_pressure = renamer.relieve_pressure
         on_complete = renamer.on_complete
+        complete_hook = renamer_class.on_complete is not Renamer.on_complete
         on_store_executed = renamer.on_store_executed
-        store_hook = (type(renamer).on_store_executed
+        store_hook = (renamer_class.on_store_executed
                       is not Renamer.on_store_executed)
         on_retire = renamer.on_retire
+        retire_hook = renamer_class.on_retire is not Renamer.on_retire
         arch_state = self._arch_state
         apply_di = arch_state.apply_di if arch_state is not None else None
         hierarchy = self.hierarchy
@@ -159,9 +181,16 @@ class Pipeline:
         dwrite = hierarchy.dwrite
         predict_op = self.predictor.predict_op
         queues = self.sched.queues_by_idx
-        select_all = self.sched.select_all
-        q_int, q_complex, q_fp, q_mem = queues
-        op_latency = OP_LATENCY
+        # Each queue's heap of ready entries, by queue index.
+        readies = [queue.ready for queue in queues]
+        r_int, r_complex, r_fp, r_mem = readies
+        # Issue visits the queues in index order; a port is a queue's
+        # ready heap, its width, the queue, and whether it is the
+        # memory queue.
+        ports = tuple((queue.ready, queue.issue_width, queue,
+                       index == QUEUE_MEM)
+                      for index, queue in enumerate(queues))
+        sched_entries = config.sched_entries
         # configuration
         fetch_width = config.fetch_width
         block_mask = ~(fetch_width * 4 - 1)
@@ -178,14 +207,18 @@ class Pipeline:
         regread = config.regread_stages
         redirect_penalty = config.redirect_penalty
         retire_width = config.retire_width
+        deadlock_window = _DEADLOCK_WINDOW
+        nop_id = _NOP_ID
         # machine state
         frontend: deque[tuple[int, DynInstr]] = deque()  # (rename at, di)
         dispatch_queue: deque[tuple[int, DynInstr]] = deque()  # (enter at, di)
         rob: deque[DynInstr] = deque()
-        buckets: dict[int, list[tuple[int, int, DynInstr]]] = {}
-        late: list[tuple[int, int, DynInstr]] = []
+        # Events by cycle: the instructions whose result wakes their
+        # consumers then, and those that complete then.
+        events: dict[int, tuple[list[DynInstr], list[DynInstr]]] = {}
+        late_done: list[DynInstr] = []
         waiting_on_preg: dict[int, list[DynInstr]] = {}
-        waiting_on_store: dict[int, list[DynInstr]] = {}
+        waiting_on_store: dict[DynInstr, list[DynInstr]] = {}
         last_writer: dict[int, DynInstr] = {}
         fetch_blocked_by: DynInstr | None = None
         fetch_resume_cycle = 0
@@ -201,102 +234,133 @@ class Pipeline:
         early_executed = early_branches = 0
         mem_ops = mem_addr_known = loads = loads_removed = 0
         issued = dcache_accesses = store_forwards_lsq = 0
-        while row < n_rows or retired < row:
+        while True:
             now += 1
-            # --- writeback: wakeup + completion events ----------------
-            bucket = buckets.pop(now, None) if buckets else None
-            if late:
-                # Scheduled last cycle for a cycle already written back.
-                late.sort()
-                if bucket:
-                    bucket.sort()
-                    late += bucket
-                bucket = late
-                late = []
-            elif bucket:
-                bucket.sort()
-            if bucket:
-                for seq, kind, di in bucket:
-                    if kind == _EV_WAKEUP:
-                        preg = di.dst_preg
-                        if preg is not None:
-                            preg_ready[preg] = True
-                            preg_values[preg] = di.result
-                            waiters = waiting_on_preg.pop(preg, None)
-                        elif di.is_store:  # a store writes no register
-                            waiters = waiting_on_store.pop(seq, None)
-                        else:
-                            continue
-                        if waiters:
-                            # Each waiter has one dependence fewer; one
-                            # with none left is ready to issue.
-                            for waiter in waiters:
-                                left = waiter.deps_remaining - 1
-                                waiter.deps_remaining = left
-                                if not left:
-                                    heappush(
-                                        queues[waiter.queue_idx].ready,
-                                        (waiter.seq, waiter))
+            # --- writeback: wakeups, then completions -----------------
+            # A wakeup only marks a live register ready, counts down its
+            # waiters and pushes onto seq-ordered heaps, so wakeups
+            # commute with each other and with completions; completions
+            # release registers, so they run in seq order.
+            bucket = events.pop(now, None)
+            if bucket is not None:
+                wakes, dones = bucket
+                for di in wakes:
+                    preg = di.dst_preg
+                    if preg is not None:
+                        preg_ready[preg] = True
+                        preg_values[preg] = di.result
+                        waiters = waiting_on_preg.pop(preg, None)
+                    elif di.is_store:  # a store writes no register
+                        waiters = waiting_on_store.pop(di, None)
                     else:
-                        di.completed = True
-                        di.complete_cycle = now
-                        on_complete(di, now)
-                        if store_hook and di.is_store:
-                            on_store_executed(di)
-                        if di is fetch_blocked_by:
-                            fetch_blocked_by = None
-                            fetch_resume_cycle = now + redirect_penalty
-                            if di.early_resolved:
-                                recovered_early += 1
-            # --- issue / execute --------------------------------------
-            if q_int.ready or q_mem.ready or q_complex.ready or q_fp.ready:
-                for di in select_all():
-                    if di.queue_idx != QUEUE_MEM:
-                        # A removed load is a register move.
-                        latency = (1 if di.removed_load
-                                   else op_latency[di.op])
+                        continue
+                    if waiters:
+                        # Each waiter has one dependence fewer; one
+                        # with none left is ready to issue.
+                        for waiter in waiters:
+                            left = waiter.deps_remaining - 1
+                            waiter.deps_remaining = left
+                            if not left:
+                                heappush(readies[waiter.queue_idx],
+                                         (waiter.seq, waiter))
+                dones.sort(key=_seq_of)
+            else:
+                dones = ()
+            if late_done:
+                # Scheduled last cycle for a cycle already written back:
+                # these run ahead of this cycle's own completions.
+                late_done.sort(key=_seq_of)
+                late_done += dones
+                dones = late_done
+                late_done = []
+            for di in dones:
+                di.completed = True
+                # Release the source references taken at rename.
+                for preg in di.src_pregs:
+                    count = refcounts[preg] - 1
+                    if count > 0:
+                        refcounts[preg] = count
+                    elif not count:
+                        refcounts[preg] = 0
+                        versions[preg] += 1
+                        free_append(preg)
                     else:
-                        agen = 0 if di.addr_known else 1
-                        if di.is_store:
-                            # Write-buffer semantics: touch the line,
-                            # complete quickly.
-                            dwrite(di.addr)
-                            dcache_accesses += 1
-                            latency = agen + 1
+                        raise ValueError(f"release of already-free "
+                                         f"register p{preg}")
+                if complete_hook:
+                    on_complete(di, now)
+                if store_hook and di.is_store:
+                    on_store_executed(di)
+                if di is fetch_blocked_by:
+                    fetch_blocked_by = None
+                    fetch_resume_cycle = now + redirect_penalty
+                    if di.early and di.mispredicted:
+                        recovered_early += 1
+            # --- issue / execute: each queue's oldest ready entries ---
+            if r_int or r_mem or r_complex or r_fp:
+                for ready, width, queue, is_mem in filter(_has_ready, ports):
+                    taken = len(ready)
+                    if taken > width:
+                        taken = width
+                    queue.count -= taken
+                    issued += taken
+                    for _ in range(taken):
+                        di = heappop(ready)[1]
+                        di.issue_cycle = now
+                        if not is_mem:
+                            latency = di.exec_latency
                         else:
-                            store = di.store_dep
-                            if (store is not None and not store.retired
-                                    and store.addr == di.addr
-                                    and store.mem_size == di.mem_size):
-                                store_forwards_lsq += 1
+                            agen = 0 if di.addr_known else 1
+                            if di.is_store:
+                                # Write-buffer semantics: touch the
+                                # line, complete quickly.
+                                dwrite(di.addr)
+                                dcache_accesses += 1
                                 latency = agen + 1
                             else:
-                                dcache_accesses += 1
-                                latency = agen + dread(di.addr)
-                    di.issue_cycle = now
-                    di.exec_latency = latency
-                    issued += 1
-                    seq = di.seq
-                    cycle = now + latency
-                    event = (seq, _EV_WAKEUP, di)
-                    if cycle > now:
-                        slot = buckets.get(cycle)
-                        if slot is None:
-                            buckets[cycle] = [event]
+                                store = di.store_dep
+                                if (store is not None and not store.retired
+                                        and store.addr == di.addr
+                                        and store.mem_size == di.mem_size):
+                                    store_forwards_lsq += 1
+                                    latency = agen + 1
+                                else:
+                                    dcache_accesses += 1
+                                    latency = agen + dread(di.addr)
+                            di.exec_latency = latency
+                            if not latency:
+                                # A zero-cycle load (an L1 of latency 0
+                                # and a rename-time address) wakes its
+                                # consumers in the next writeback.
+                                cycle = now + 1
+                                bucket = events.get(cycle)
+                                if bucket is None:
+                                    events[cycle] = ([di], [])
+                                else:
+                                    bucket[0].append(di)
+                                if regread:
+                                    cycle = now + regread
+                                    bucket = events.get(cycle)
+                                    if bucket is None:
+                                        events[cycle] = ([], [di])
+                                    else:
+                                        bucket[1].append(di)
+                                else:
+                                    late_done.append(di)
+                                continue
+                        # Every other latency is at least one cycle.
+                        cycle = now + latency
+                        bucket = events.get(cycle)
+                        if bucket is None:
+                            events[cycle] = ([di], [])
                         else:
-                            slot.append(event)
-                    else:
-                        late.append(event)
-                    cycle += regread
-                    event = (seq, _EV_COMPLETE, di)
-                    if cycle > now:
-                        slot = buckets.get(cycle)
-                        if slot is None:
-                            buckets[cycle] = [event]
+                            bucket[0].append(di)
+                        cycle += regread
+                        bucket = events.get(cycle)
+                        if bucket is None:
+                            events[cycle] = ([], [di])
                         else:
-                            slot.append(event)
-                    else:
-                        late.append(event)
+                            bucket[1].append(di)
             # --- dispatch: rename exit -> scheduler entry -------------
             if dispatch_queue and dispatch_queue[0][0] <= now:
                 moved = 0
@@ -305,7 +369,7 @@ class Pipeline:
                     if enter > now:
                         break
                     queue = queues[di.queue_idx]
-                    if queue.count >= queue.capacity:
+                    if queue.count >= sched_entries:
                         break
                     dispatch_queue.popleft()
                     deps = 0
@@ -328,9 +392,9 @@ class Pipeline:
                                 and store.issue_cycle + store.exec_latency
                                 > now)):
                         deps += 1
-                        waiters = waiting_on_store.get(store.seq)
+                        waiters = waiting_on_store.get(store)
                         if waiters is None:
-                            waiting_on_store[store.seq] = [di]
+                            waiting_on_store[store] = [di]
                         else:
                             waiters.append(di)
                     di.deps_remaining = deps
@@ -342,12 +406,16 @@ class Pipeline:
             if frontend and frontend[0][0] <= now:
                 renamed = 0
                 began_bundle = not bundle_hook
+                # Room counted once: only this stage fills the ROB and
+                # the dispatch queue this cycle.
+                rob_room = rob_size - len(rob)
+                dispatch_room = dispatch_cap - len(dispatch_queue)
                 while (renamed < rename_width and frontend
                        and frontend[0][0] <= now):
-                    if len(rob) >= rob_size:
+                    if renamed == rob_room:
                         rename_stall_rob += 1
                         break
-                    if len(dispatch_queue) >= dispatch_cap:
+                    if not dispatch_room:
                         rename_stall_dispatch += 1
                         break
                     di = frontend[0][1]
@@ -361,6 +429,13 @@ class Pipeline:
                             continue  # retry this instruction
                         rename_stall_pregs += 1
                         break
+                    # Hold a reference on each source until completion.
+                    for preg in di.src_pregs:
+                        count = refcounts[preg]
+                        if count <= 0:
+                            raise ValueError(f"add_ref on free register "
+                                             f"p{preg}")
+                        refcounts[preg] = count + 1
                     frontend.popleft()
                     renamed += 1
                     rob.append(di)
@@ -400,30 +475,30 @@ class Pipeline:
                                                  or store.seq > best.seq)):
                                         best = store
                                 di.store_dep = best
-                    if di.early or di.op == _NOP_ID:
+                    if di.early or di.op == nop_id:
                         if di.early:
                             early_executed += 1
                             if di.is_control:
                                 early_branches += 1
-                            if di.mispredicted:
-                                di.early_resolved = True
                         # Done when rename is: both events, no issue.
-                        seq = di.seq
-                        wakeup = (seq, _EV_WAKEUP, di)
-                        complete = (seq, _EV_COMPLETE, di)
                         if rename_delay:
                             cycle = now + rename_delay
-                            slot = buckets.get(cycle)
-                            if slot is None:
-                                buckets[cycle] = [wakeup, complete]
+                            bucket = events.get(cycle)
+                            if bucket is None:
+                                events[cycle] = ([di], [di])
                             else:
-                                slot.append(wakeup)
-                                slot.append(complete)
+                                bucket[0].append(di)
+                                bucket[1].append(di)
                         else:
-                            late.append(wakeup)
-                            late.append(complete)
+                            late_done.append(di)
+                            bucket = events.get(now + 1)
+                            if bucket is None:
+                                events[now + 1] = ([di], [])
+                            else:
+                                bucket[0].append(di)
                     else:
                         dispatch_queue.append((now + dispatch_delay, di))
+                        dispatch_room -= 1
             # --- fetch ------------------------------------------------
             if fetch_blocked_by is not None:
                 fetch_blocked_cycles += 1
@@ -431,13 +506,16 @@ class Pipeline:
                 fetch_icache_stall_cycles += 1
             elif row < n_rows:
                 frontend_time = now + frontend_depth
-                stop = row + fetch_width
+                # Room counted once: only this stage fills the front end.
+                stop = row + frontend_cap - len(frontend)
+                if stop > row + fetch_width:
+                    stop = row + fetch_width
                 if stop > n_rows:
                     stop = n_rows
                 # Fetch delivers one aligned block per cycle; the next
                 # block starts next cycle.
                 block = pcs[iidx[row]] & block_mask
-                while row < stop and len(frontend) < frontend_cap:
+                while row < stop:
                     ii = iidx[row]
                     pc = pcs[ii]
                     if pc & block_mask != block:
@@ -482,7 +560,21 @@ class Pipeline:
                     di.retired = True
                     if apply_di is not None:
                         apply_di(di)
-                    on_retire(di)
+                    # Release the mapping this instruction replaced.
+                    preg = di.prev_preg
+                    if preg is not None:
+                        left = refcounts[preg] - 1
+                        if left > 0:
+                            refcounts[preg] = left
+                        elif not left:
+                            refcounts[preg] = 0
+                            versions[preg] += 1
+                            free_append(preg)
+                        else:
+                            raise ValueError(f"release of already-free "
+                                             f"register p{preg}")
+                    if retire_hook:
+                        on_retire(di)
                     if di.is_store:
                         addr = di.addr
                         for block in range(addr >> _BLOCK_SHIFT,
@@ -496,7 +588,9 @@ class Pipeline:
                         break
                 retired += count
                 last_retire_cycle = now
-            if now - last_retire_cycle > _DEADLOCK_WINDOW:
+                if row >= n_rows and retired >= row:
+                    break  # drained this cycle
+            elif now - last_retire_cycle > deadlock_window:
                 raise SimulationDeadlock(
                     f"no retirement since cycle {last_retire_cycle} "
                     f"(now {now}, retired {retired}/{row} fetched, "
@@ -505,27 +599,26 @@ class Pipeline:
             # If the next cycle provably does nothing, jump straight to
             # the next cycle where anything *can* happen, crediting the
             # per-cycle fetch stall counters for the skipped cycles.
-            if row >= n_rows and retired >= row:
-                break  # drained this cycle; nothing left to skip to
+            # The tests run most-often-true first.
             nxt = now + 1
+            if nxt in events or late_done:
+                continue  # writeback next cycle
             if frontend and frontend[0][0] <= nxt:
                 continue  # rename (or a rename stall) next cycle
-            if rob and rob[0].completed:
-                continue  # retirement can proceed next cycle
-            if q_int.ready or q_mem.ready or q_complex.ready or q_fp.ready:
-                continue  # issue next cycle
-            if dispatch_queue and dispatch_queue[0][0] <= nxt:
-                continue
-            if late:
-                continue  # writeback next cycle
             blocked = fetch_blocked_by is not None
             fetch_waits = (not blocked and row < n_rows
                            and len(frontend) < frontend_cap)
             if fetch_waits and nxt >= fetch_resume_cycle:
                 continue  # fetch next cycle
-            target = last_retire_cycle + _DEADLOCK_WINDOW + 1
-            if buckets:
-                target = min(target, min(buckets))
+            if r_int or r_mem or r_complex or r_fp:
+                continue  # issue next cycle
+            if dispatch_queue and dispatch_queue[0][0] <= nxt:
+                continue
+            if rob and rob[0].completed:
+                continue  # retirement can proceed next cycle
+            target = last_retire_cycle + deadlock_window + 1
+            if events:
+                target = min(target, min(events))
             if dispatch_queue:
                 target = min(target, dispatch_queue[0][0])
             if frontend:

@@ -8,16 +8,27 @@ name has been overwritten.  Section 3.1 therefore prescribes a
 reference-counting scheme (citing Jourdan et al. [15]); this module
 implements it.
 
-Reference conventions used by the pipeline and the optimizer:
+Who holds each reference, and which code releases it:
 
-* +1 held by the architectural RAT mapping, released when the
-  instruction that overwrites the mapping **retires**;
-* +1 per in-flight consumer that named the register as a physical
-  source, released when that consumer completes;
-* +1 per symbolic RAT entry whose base names the register;
-* +1 per MBC entry whose symbolic data names the register.
+* +1 held by the architectural RAT mapping, taken by
+  :meth:`PhysRegFile.allocate` when a renamer maps a destination (or
+  by the optimizer when it remaps a destination onto an existing
+  register).  Rename hands the mapping it replaces to the
+  instruction's ``prev_preg``, and :meth:`Pipeline.run
+  <repro.uarch.pipeline.Pipeline.run>` releases it when that
+  instruction **retires**.
+* +1 per physical source of an in-flight instruction.  The renamer
+  names the sources (``src_pregs``); the pipeline takes their
+  references once rename succeeds and releases them when the
+  instruction **completes**.
+* +1 per symbolic RAT entry whose base names the register, and +1 per
+  pending MBC write: the optimizing renamer takes and releases these
+  itself.
+* +1 per MBC entry whose symbolic data names the register: the MBC
+  takes it on insert and releases it when the entry is dropped.
 
-A register returns to the free list when its count reaches zero.
+A register returns to the free list when its count reaches zero, and
+is cleared (unwritten, no value) when it is allocated again.
 Registers carry *versions* so that delayed value feedback can detect
 that a register was recycled in the meantime.
 """
@@ -84,26 +95,22 @@ class PhysRegFile:
             self.high_water = in_use
         return preg
 
-    def add_refs(self, pregs) -> tuple[int, ...]:
-        """Add one reference to each register of *pregs*.
-
-        Each must be live.  Returns the registers as a tuple, so a
-        renamer takes its sources' references and records them in one
-        step.
-        """
-        pregs = tuple(pregs)
+    def add_refs(self, pregs) -> None:
+        """Add one reference to each register of *pregs*; each must be
+        live."""
         refcounts = self.refcounts
         for preg in pregs:
             count = refcounts[preg]
             if count <= 0:
                 raise ValueError(f"add_ref on free register p{preg}")
             refcounts[preg] = count + 1
-        return pregs
 
     def release_all(self, pregs) -> None:
         """Drop one reference from each register of *pregs*.
 
-        A register whose count reaches zero returns to the free list.
+        A register whose count reaches zero gets a new version and
+        returns to the free list; :meth:`allocate` clears its written
+        flag and value when it is reused.
         """
         refcounts = self.refcounts
         for preg in pregs:
@@ -113,8 +120,6 @@ class PhysRegFile:
             refcounts[preg] = count
             if count == 0:
                 self.versions[preg] += 1
-                self.ready[preg] = False
-                self.values[preg] = None
                 self.free_list.append(preg)
 
     def is_live(self, preg: int) -> bool:

@@ -24,7 +24,17 @@ class Renamer:
     Implementations fill in the rename-related fields of each
     :class:`DynInstr` (``src_pregs``, ``dst_preg``, ``prev_preg`` and —
     for the optimizer — the ``early``/``removed_load``/``addr_known``
-    flags) and manage physical-register references.
+    flags).  Rename names the physical sources and hands the
+    destination's previous mapping to ``prev_preg``; the pipeline takes
+    one reference per source once rename succeeds, releases them when
+    the instruction completes, and releases ``prev_preg`` when it
+    retires (see :mod:`repro.uarch.regfile`).  Any other reference a
+    renamer takes is its own to release.
+
+    The pipeline never calls a per-cycle or per-instruction hook
+    (``begin_bundle``, ``on_complete``, ``on_store_executed``,
+    ``on_retire``) left at this class's no-op, so a renamer pays only
+    for the hooks it overrides.
     """
 
     def begin_bundle(self, cycle: int) -> None:
@@ -35,12 +45,12 @@ class Renamer:
         raise NotImplementedError
 
     def on_complete(self, di: DynInstr, cycle: int) -> None:
-        """Called when *di* finishes execution (writeback)."""
-        raise NotImplementedError
+        """Called when *di* finishes execution (writeback), after the
+        pipeline released its sources."""
 
     def on_retire(self, di: DynInstr) -> None:
-        """Called when *di* retires."""
-        raise NotImplementedError
+        """Called when *di* retires, after the pipeline released its
+        previous mapping."""
 
     def on_store_executed(self, di: DynInstr) -> None:
         """Called when a store's address is definitively known."""
@@ -99,29 +109,18 @@ class BaselineRenamer(Renamer):
         self._map = self.rat.mapping
         self._mapping_of = self._map.__getitem__
         self._free = prf.free_list
-        self._add_refs = prf.add_refs
 
     def rename(self, di: DynInstr, cycle: int) -> None:
         dst = di.arch_dst
-        # Check capacity before taking any references so a failed
-        # rename leaves no state behind.
+        # Check capacity before changing anything so a failed rename
+        # leaves no state behind.
         if dst >= 0 and not self._free:
             raise OutOfRegisters("no free physical registers")
         mapping = self._map
         if di.arch_srcs:
-            di.src_pregs = self._add_refs(map(self._mapping_of,
-                                              di.arch_srcs))
+            di.src_pregs = tuple(map(self._mapping_of, di.arch_srcs))
         if dst >= 0:
             preg = self._prf.allocate()
             di.prev_preg = mapping[dst]
             mapping[dst] = preg
             di.dst_preg = preg
-        di.rename_cycle = cycle
-
-    def on_complete(self, di: DynInstr, cycle: int) -> None:
-        if di.src_pregs:
-            self._prf.release_all(di.src_pregs)
-
-    def on_retire(self, di: DynInstr) -> None:
-        if di.prev_preg is not None:
-            self._prf.release_all((di.prev_preg,))

@@ -11,14 +11,12 @@ offers them oldest-first to its functional-unit pool.  A queue keeps
 only an occupancy count and a heap of its ready entries ordered by
 sequence number.  The pipeline's dispatch counts an entry in and
 pushes it when it has no outstanding dependence; its writeback pushes
-an entry when the last one clears.  :meth:`SchedulerBank.select_all`,
-the issue policy, pops each queue's oldest ready entries, so
+an entry when the last one clears; its issue stage, the issue policy,
+pops up to ``issue_width`` of each queue's oldest ready entries, so
 selection never rescans waiting entries.
 """
 
 from __future__ import annotations
-
-from heapq import heappop
 
 from ..isa.opcodes import (QUEUE_COMPLEX, QUEUE_FP, QUEUE_INT, QUEUE_MEM,
                            OpClass)
@@ -80,21 +78,3 @@ class SchedulerBank:
         self.queues_by_idx[QUEUE_COMPLEX] = self.queues[SCHED_COMPLEX]
         self.queues_by_idx[QUEUE_FP] = self.queues[SCHED_FP]
         self.queues_by_idx[QUEUE_MEM] = self.queues[SCHED_MEM]
-
-    def select_all(self) -> list[DynInstr]:
-        """One cycle of select across all queues.
-
-        Removes and returns up to ``issue_width`` ready entries of each
-        queue, oldest first (by sequence number).
-        """
-        issued: list[DynInstr] = []
-        for queue in self.queues_by_idx:
-            ready = queue.ready
-            if ready:
-                width = queue.issue_width
-                taken = 0
-                while ready and taken < width:
-                    issued.append(heappop(ready)[1])
-                    taken += 1
-                queue.count -= taken
-        return issued

@@ -469,6 +469,24 @@ class TestLeaseServer:
         TELEMETRY.drain()
 
 
+class TestPoolTelemetry:
+    def test_each_pool_counts_only_its_own_simulations(self):
+        # A forked pool worker must not ship the driver's totals home:
+        # N pools of k simulations each count N * k runs.
+        from repro.engine.telemetry import TELEMETRY
+        TELEMETRY.drain()
+        points = _campaign().points()
+        counts = []
+        for _ in range(3):
+            runner.clear_caches(detach_store=True)
+            run_sweep(points, jobs=2)
+            runs = TELEMETRY.snapshot()["histograms"][
+                "repro_sim_run_seconds"]
+            counts.append(sum(h["count"] for h in runs.values()))
+        TELEMETRY.drain()
+        assert counts == [len(points), 2 * len(points), 3 * len(points)]
+
+
 class TestWorkerEvents:
     def test_json_round_trip(self):
         for event in (WorkerJoinedEvent(worker="w0", workers=1),

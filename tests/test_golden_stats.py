@@ -6,7 +6,8 @@ default optimizer, and Figure 10's deepest bundle limits — and its
 full :meth:`PipelineStats.to_json` compared against a committed
 snapshot ``tests/golden/<workload>.<label>.json``.  The
 :data:`ZERO_STAGE_CONFIGS` snapshots pin machines with a zero-cycle
-rename, dispatch or register-read stage on a prefix of two workloads.
+rename, dispatch or register-read stage, or a zero-latency L1 data
+cache, on a prefix of two workloads.
 Any behavioural change in the emulator, the assembler, a workload
 kernel, the synthetic generator, the timing model or the optimizer
 shows up as a counter-level diff here — deliberately strict, so
@@ -67,11 +68,19 @@ OPTIMIZER_LABELS = ("optimized", "depth3")
 #: Simulated on the first ``ZERO_STAGE_ROWS`` rows of each workload.
 ZERO_STAGE_WORKLOADS = ("mcf", "synth:mixed@seed=0")
 ZERO_STAGE_ROWS = 3000
+_NO_RLE_SF = optimized_config(enable_rle_sf=False)
+_DL1_LATENCY_0 = replace(_NO_RLE_SF, dl1=replace(_NO_RLE_SF.dl1, latency=0))
 ZERO_STAGE_CONFIGS = {
     "rename0": replace(default_config(), rename_stages=0),
     "rename0-opt0": replace(optimized_config(opt_stages=0), rename_stages=0),
     "dispatch0": replace(default_config(), dispatch_stages=0),
     "regread0-opt": replace(optimized_config(), regread_stages=0),
+    # A load with a rename-time address that the MBC cannot remove (RLE
+    # and store forwarding off) and that hits a zero-latency L1 issues
+    # with latency 0: it wakes its consumers at the next writeback, and
+    # with no register-read stage completes there too.
+    "dl1lat0-opt": _DL1_LATENCY_0,
+    "dl1lat0-regread0-opt": replace(_DL1_LATENCY_0, regread_stages=0),
 }
 
 

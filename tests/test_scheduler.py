@@ -1,7 +1,7 @@
 """Unit tests for issue queues and the scheduler bank.
 
-Selection (:meth:`SchedulerBank.select_all`) and the readiness
-bookkeeping around it run inside :meth:`Pipeline.run`, so these tests
+Selection (the issue stage) and the readiness bookkeeping around it
+run inside :meth:`Pipeline.run`, so these tests
 drive small programs through the pipeline and read each retired
 instruction's issue cycle and the queue occupancy seen at each rename.
 """
@@ -12,7 +12,7 @@ from repro.functional import run_program
 from repro.functional.trace import PackedTrace, TraceEntry
 from repro.isa import Opcode, Reg, assemble
 from repro.isa.instructions import Instruction
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import QUEUE_COMPLEX, QUEUE_INT, OpClass
 from repro.uarch import DynInstr, SchedulerBank, default_config, scheduler_for
 from repro.uarch.pipeline import Pipeline
 from repro.uarch.regfile import PhysRegFile
@@ -168,10 +168,8 @@ class TestSchedulerBank:
         first = min(di.issue_cycle for di in recorder.retired.values())
         issued = [di for di in recorder.retired.values()
                   if di.issue_cycle == first]
-        assert sum(di.sched_class is OpClass.INT_SIMPLE
-                   for di in issued) == 2
-        assert sum(di.sched_class is OpClass.INT_COMPLEX
-                   for di in issued) == 1
+        assert sum(di.queue_idx == QUEUE_INT for di in issued) == 2
+        assert sum(di.queue_idx == QUEUE_COMPLEX for di in issued) == 1
 
     def test_total_occupancy(self):
         # Entries waiting on a dependence hold their slots, each in its
