@@ -1,10 +1,13 @@
 """Compare fresh benchmark results with the committed ones.
 
-    python benchmarks/compare.py [benchmarks/results/BENCH_x.json ...]
+    python benchmarks/compare.py [--base REF] [RESULT.json ...]
 
 Each named file (by default every ``benchmarks/results/BENCH_*.json``)
-is compared with its committed copy, read with ``git show HEAD:<path>``;
-a file ``HEAD`` does not hold is skipped.
+is compared with its copy at the commit *REF* (default ``HEAD``), read
+with ``git show REF:<path>``; a file *REF* does not hold is skipped.
+To gate a change, name the commit it is measured against: CI passes
+the target branch (a pull request's merge commit's first parent), so
+a change that commits new results cannot move its own baseline.
 
 * **Work rows gate.**  A ``work_per_insn`` row (bytecodes and Python
   calls per instruction, keyed by CPython ``major.minor``) fails when
@@ -21,6 +24,7 @@ Exits 1 when a work row rose past the limit, else 0.
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import subprocess
@@ -34,10 +38,11 @@ RESULTS = ROOT / "benchmarks" / "results"
 TIMING_SUFFIXES = ("_seconds", "_per_s")
 
 
-def committed(path: pathlib.Path) -> dict | None:
-    """*path*'s content at ``HEAD``, or None if ``HEAD`` has no such file."""
+def committed(path: pathlib.Path, ref: str) -> dict | None:
+    """*path*'s content at commit *ref*, or None if *ref* has no such
+    file."""
     relative = path.resolve().relative_to(ROOT).as_posix()
-    shown = subprocess.run(["git", "show", f"HEAD:{relative}"], cwd=ROOT,
+    shown = subprocess.run(["git", "show", f"{ref}:{relative}"], cwd=ROOT,
                            capture_output=True, text=True)
     if shown.returncode != 0:
         return None
@@ -97,13 +102,18 @@ def timing_deltas(fresh, base, prefix: str = "") -> list[str]:
 
 
 def main(argv: list[str], load_committed=committed) -> int:
-    paths = ([pathlib.Path(arg) for arg in argv]
-             or sorted(RESULTS.glob("BENCH_*.json")))
+    parser = argparse.ArgumentParser(
+        description="Gate work counts against committed results.")
+    parser.add_argument("--base", default="HEAD",
+                        help="commit holding the baseline results")
+    parser.add_argument("paths", nargs="*", type=pathlib.Path)
+    args = parser.parse_args(argv)
+    paths = args.paths or sorted(RESULTS.glob("BENCH_*.json"))
     failed = False
     for path in paths:
-        base = load_committed(path)
+        base = load_committed(path, args.base)
         if base is None:
-            print(f"{path}: not committed, skipped")
+            print(f"{path}: not committed at {args.base}, skipped")
             continue
         fresh = json.loads(path.read_text())
         regressions, notes = work_regressions(fresh, base)

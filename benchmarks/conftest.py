@@ -62,8 +62,13 @@ def publish(name: str, text: str, smoke: bool = False,
             data: dict | list | None = None) -> None:
     """Print a result table and persist it under benchmarks/results/.
 
-    Smoke-mode outputs land in ``<name>.smoke.txt`` so tiny-budget CI
-    runs never clobber the committed full-budget tables.
+    Smoke-mode outputs land in ``<name>.smoke.txt`` (and ``.json``),
+    which git ignores, so tiny-budget CI runs never clobber the
+    committed full-budget tables.  One smoke file is tracked:
+    ``BENCH_layers.smoke.json`` is the work-count gate's baseline
+    (``benchmarks/compare.py``), so a smoke run of ``bench_layers.py``
+    rewrites it with fresh timings.  Commit it only to move the
+    baseline, after a change that lowers the work counts.
 
     With *data*, the same result is also written machine-readably to
     ``BENCH_<name>[.smoke].json`` — so dashboards and regression

@@ -34,12 +34,13 @@ hint is always safe).
 The rename stage runs once per dynamic instruction, so it is
 table-driven.  :meth:`OptimizingRenamer.rename` renames an integer ALU
 instruction, most of the stream, itself: it reads the instruction's
-two sources from a plan built once per static instruction and calls
-CP/RA's per-opcode handler table (:data:`repro.core.cpra.HANDLERS`)
-directly.  Every other instruction goes to the category handler that a
-per-opcode-id table names.  The integer registers' symbolic state
-lives in RAT-indexed lists, a plain register's value is an interned
-per-preg :class:`SymVal`, and the configuration flags are read once at
+two sources from a plan kept in the static record (built once per
+static instruction of a trace) and calls CP/RA's per-opcode handler
+table (:data:`repro.core.cpra.HANDLERS`) directly.  Every other
+instruction goes to the category handler that a per-opcode-id table
+names.  The integer registers' symbolic state lives in RAT-indexed
+lists, a plain register's value is an interned per-preg
+:class:`SymVal`, and the configuration flags are read once at
 construction.  Verification is unchanged: every produced value is
 compared with the oracle's, and any raw mismatch goes through the full
 normalized check of :meth:`OptimizingRenamer._verify`.
@@ -106,7 +107,24 @@ _NO_TAG = (-1, 0, 0)
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
-_new_sym = tuple.__new__
+
+def _alu_plan(instr: Instruction) -> tuple:
+    """How :meth:`OptimizingRenamer.rename` reads integer ALU *instr*'s
+    two sources, stored in the static record's ``rename_plan``.
+
+    ``(arch_a, a, arch_b, b)``: a register source is its architectural
+    index and None, to be resolved per instruction; an immediate (or
+    ``lda``'s displacement, its second source) is -1 and its constant;
+    a missing source is -1 and None.
+    """
+    operands = [(-1, None), (-1, None)]
+    for index, src in enumerate(instr.srcs):
+        operand = ((-1, symbolic.const(src.value)) if type(src) is Imm
+                   else (src.index, None))
+        operands[min(index, 1)] = operand
+    if OPCODE_ID[instr.opcode] == _LDA_ID:
+        operands[1] = (-1, symbolic.const(instr.disp))
+    return operands[0] + operands[1]
 
 
 class VerificationError(Exception):
@@ -133,14 +151,7 @@ class OptimizingRenamer(BaselineRenamer):
         # folded, so the known-value probe sees an empty table.
         self._known = self.feedback.known if ocfg.enable_feedback else {}
         self._fb_pending = self.feedback.pending
-        self._publish_value = self.feedback.publish
-        self._add_refs = prf.add_refs
-        self._allocate = prf.allocate
         self._cpra = cpra.HANDLERS
-        # Source plans of the integer ALU instructions seen so far, by
-        # ``id`` of the static instruction (see :meth:`_plan`).
-        self._plans: dict[int, tuple] = {}
-        self._planned: list[Instruction] = []
         self._plains = symbolic.plains(prf.num_regs)
         # Pending MBC writes: applied at the next bundle boundary so no
         # dependence within a rename packet is satisfied by RLE/SF
@@ -194,28 +205,6 @@ class OptimizingRenamer(BaselineRenamer):
     # rename: integer ALU instructions inline, the rest by category
     # ==================================================================
 
-    def _plan(self, instr: Instruction) -> tuple:
-        """How :meth:`rename` reads integer ALU *instr*'s two sources.
-
-        ``(arch_a, a, arch_b, b)``: a register source is its
-        architectural index and None, to be resolved per instruction;
-        an immediate (or ``lda``'s displacement, its second source) is
-        -1 and its constant; a missing source is -1 and None.  Built
-        once per static instruction, which the plan table keeps alive
-        so its ``id`` stays unique.
-        """
-        operands = [(-1, None), (-1, None)]
-        for index, src in enumerate(instr.srcs):
-            operand = ((-1, symbolic.const(src.value)) if type(src) is Imm
-                       else (src.index, None))
-            operands[min(index, 1)] = operand
-        if OPCODE_ID[instr.opcode] == _LDA_ID:
-            operands[1] = (-1, symbolic.const(instr.disp))
-        plan = operands[0] + operands[1]
-        self._plans[id(instr)] = plan
-        self._planned.append(instr)
-        return plan
-
     def rename(self, di: DynInstr, cycle: int) -> None:
         if di.arch_dst >= 0 and not self._free:
             raise OutOfRegisters("no free physical registers")
@@ -224,11 +213,11 @@ class OptimizingRenamer(BaselineRenamer):
             handler(self, di)
             return
         # An integer ALU instruction, most of the stream: CP/RA.
-        instr = di.instr
-        try:
-            arch_a, a, arch_b, b = self._plans[id(instr)]
-        except KeyError:
-            arch_a, a, arch_b, b = self._plan(instr)
+        cell = di.rename_plan
+        plan = cell[0]
+        if plan is None:
+            plan = cell[0] = _alu_plan(di.instr)
+        arch_a, a, arch_b, b = plan
         # Resolve each register source: its value is folded with its
         # base's fed-back value when one is recorded; depth tags of
         # this bundle's producers accumulate into the chain depths.
@@ -277,10 +266,9 @@ class OptimizingRenamer(BaselineRenamer):
             if uses_alu:
                 depth += 1
             if sym is None:
-                # Folded from constants by the ALU, so in signed range:
-                # intern it as :func:`symbolic.const` would.
+                # Folded from constants: the constant *value*.
                 sym = (SMALL_CONSTS[value + 256] if -256 <= value <= 256
-                       else _new_sym(SymVal, (None, 0, value)))
+                       else symbolic.const(value))
             dst = self._allocate_dst(di, sym, depth, mem_chain)
             if dst is not None and self._opt:
                 # Recording the computed value is constant propagation;
@@ -294,10 +282,10 @@ class OptimizingRenamer(BaselineRenamer):
                 depth += 1
             base = sym[0]
             if base is not None:
-                di.src_pregs = (base,)
+                di.src_pregs = self._add_refs((base,))
             self._allocate_dst(di, sym, depth, mem_chain)
             return
-        di.src_pregs = tuple(map(self._mapping_of, di.arch_srcs))
+        di.src_pregs = self._add_refs(map(self._mapping_of, di.arch_srcs))
         self._allocate_dst(di, None)
 
     # ------------------------------------------------------------------
@@ -343,7 +331,7 @@ class OptimizingRenamer(BaselineRenamer):
         dst = di.arch_dst
         if dst < 0:
             return None
-        preg = self._allocate()
+        preg = self._prf.allocate()
         # Any known-value record of the register's previous life is
         # stale; dropping it keeps the probes in the handlers precise.
         self._known.pop(preg, None)
@@ -352,20 +340,24 @@ class OptimizingRenamer(BaselineRenamer):
         mapping[dst] = preg
         di.dst_preg = preg
         if dst < NUM_INT_REGS:
+            # :meth:`_set_sym` of the new mapping: a symbolic base is
+            # never the new register, and the plain value pins nothing.
             if sym is None or not self._opt:
-                # :meth:`_set_sym` of the plain new mapping, which pins
-                # nothing.
-                old_ref = self._sym_refs[dst]
-                if old_ref is not None:
-                    self._prf.release_all((old_ref,))
-                    self._sym_refs[dst] = None
-                self._syms[dst] = self._plains[preg]
-                self._tags[dst] = _NO_TAG
-            elif add_depth or mem_chain:
-                self._set_sym(dst, sym,
-                              (self._bundle_id, add_depth, mem_chain))
+                sym = self._plains[preg]
+                new_ref = None
+                tag = _NO_TAG
             else:
-                self._set_sym(dst, sym)
+                new_ref = sym[0]
+                if new_ref is not None:
+                    self._add_refs((new_ref,))
+                tag = ((self._bundle_id, add_depth, mem_chain)
+                       if add_depth or mem_chain else _NO_TAG)
+            old_ref = self._sym_refs[dst]
+            if old_ref is not None:
+                self._prf.release_all((old_ref,))
+            self._syms[dst] = sym
+            self._sym_refs[dst] = new_ref
+            self._tags[dst] = tag
         return preg
 
     # ------------------------------------------------------------------
@@ -414,7 +406,8 @@ class OptimizingRenamer(BaselineRenamer):
             else:
                 self.stat_depth_rejections += 1
         if not di.early:
-            di.src_pregs = tuple(map(self._mapping_of, di.arch_srcs))
+            di.src_pregs = self._add_refs(map(self._mapping_of,
+                                              di.arch_srcs))
         if self._opt:
             # The zero registers always resolve to a constant, so they
             # never take an inferred value.
@@ -455,8 +448,7 @@ class OptimizingRenamer(BaselineRenamer):
                 di.early = True
                 self.stat_early += 1
                 return
-        di.src_pregs = tuple(map(self._mapping_of,
-                                          di.arch_srcs))
+        di.src_pregs = self._add_refs(map(self._mapping_of, di.arch_srcs))
 
     def _rename_load(self, di: DynInstr) -> None:
         arch = di.reg_srcs[0]
@@ -472,11 +464,14 @@ class OptimizingRenamer(BaselineRenamer):
                 self._rename_known_load(di, sym[2] + di.instr.disp)
                 return
         # Address not available at rename: agen depends on the
-        # (possibly reassociated) base register.
+        # (possibly reassociated) base register.  Its reference is
+        # taken first: the base may be pinned only by the destination's
+        # symbolic value, which installing the destination drops.
         if self._opt and base is not None:
-            di.src_pregs = (base,)
+            di.src_pregs = self._add_refs((base,))
         else:
-            di.src_pregs = tuple(map(self._mapping_of, di.arch_srcs))
+            di.src_pregs = self._add_refs(map(self._mapping_of,
+                                              di.arch_srcs))
         self._allocate_dst(di, None)
 
     def _rename_known_load(self, di: DynInstr, addr: int) -> None:
@@ -548,7 +543,7 @@ class OptimizingRenamer(BaselineRenamer):
         # (base << scale) + offset on a simple ALU.
         di.queue_idx = QUEUE_INT
         di.exec_latency = 1
-        di.src_pregs = (base,)
+        di.src_pregs = self._add_refs((base,))
         self._allocate_dst(di, sym, 0, 1)
         return True
 
@@ -629,7 +624,7 @@ class OptimizingRenamer(BaselineRenamer):
             if preg is not None:
                 deps.append(preg)
         if deps:
-            di.src_pregs = tuple(deps)
+            di.src_pregs = self._add_refs(deps)
         if not (addr_known and self._rle_sf):
             return
         # The emulator records a store's data value as the row's
@@ -662,7 +657,8 @@ class OptimizingRenamer(BaselineRenamer):
 
     def _rename_plain(self, di: DynInstr) -> None:
         if di.arch_srcs:
-            di.src_pregs = tuple(map(self._mapping_of, di.arch_srcs))
+            di.src_pregs = self._add_refs(map(self._mapping_of,
+                                              di.arch_srcs))
         self._allocate_dst(di, None)
 
     # ==================================================================
@@ -677,7 +673,7 @@ class OptimizingRenamer(BaselineRenamer):
         if isinstance(result, int) and di.arch_dst < NUM_INT_REGS:
             if result > _INT64_MAX or result < _INT64_MIN:
                 result = to_signed64(result)
-            self._publish_value(preg, result, cycle)
+            self.feedback.publish(preg, result, cycle)
 
     def on_store_executed(self, di: DynInstr) -> None:
         if di.addr_known and self._rle_sf:

@@ -18,6 +18,9 @@ the signed range ``[-2**63, 2**63 - 1]``.
 
 from __future__ import annotations
 
+import operator
+from functools import partial
+
 from ..isa.opcodes import BranchCond, Opcode
 
 _MASK64 = (1 << 64) - 1
@@ -143,16 +146,18 @@ FP_OPS = _FP_OPS
 UNARY_FP_OPS = _UNARY_FP_OPS
 
 #: Branch-condition test per :class:`BranchCond`, mirroring
-#: :func:`branch_taken` one closure per condition so the emulator's
-#: dispatch loop skips the if-chain.
+#: :func:`branch_taken` one callable per condition so the emulator's
+#: dispatch loop skips the if-chain.  Each compares zero with *v*, the
+#: operator mirrored (``v < 0`` is ``0 > v``), in C: a test costs no
+#: Python call.
 COND_TESTS = {
     BranchCond.ALWAYS: lambda v: True,
-    BranchCond.EQ: lambda v: v == 0,
-    BranchCond.NE: lambda v: v != 0,
-    BranchCond.LT: lambda v: v < 0,
-    BranchCond.GE: lambda v: v >= 0,
-    BranchCond.LE: lambda v: v <= 0,
-    BranchCond.GT: lambda v: v > 0,
+    BranchCond.EQ: partial(operator.eq, 0),
+    BranchCond.NE: partial(operator.ne, 0),
+    BranchCond.LT: partial(operator.gt, 0),
+    BranchCond.GE: partial(operator.le, 0),
+    BranchCond.LE: partial(operator.ge, 0),
+    BranchCond.GT: partial(operator.lt, 0),
 }
 
 

@@ -116,10 +116,13 @@ def static_record(instr: Instruction, reg_srcs: tuple[int, ...]) -> tuple:
     """Everything the timing model reads from one static instruction.
 
     ``(instr, reg_srcs, op, mem_size, is_load, is_store, is_control,
-    latency, queue_idx, arch_srcs, arch_dst)``: the opcode id and
-    its flat-table properties, the register sources with the zero
-    registers dropped, and the destination register, or -1 when there
-    is none or it is a zero register.
+    latency, queue_idx, arch_srcs, arch_dst, rename_plan)``: the opcode
+    id and its flat-table properties, the register sources with the
+    zero registers dropped, the destination register, or -1 when there
+    is none or it is a zero register, and a one-item list, ``[None]``
+    until the optimizing renamer stores there how it reads the
+    instruction's operands (built once per static instruction and
+    shared by every pipeline that simulates the trace).
     """
     op = OPCODE_ID[instr.opcode]
     dst = instr.dst
@@ -129,7 +132,7 @@ def static_record(instr: Instruction, reg_srcs: tuple[int, ...]) -> tuple:
     return (instr, reg_srcs, op, OP_MEM_SIZE[op], OP_IS_LOAD[op],
             OP_IS_STORE[op], OP_IS_CONTROL[op], OP_LATENCY[op],
             OP_QUEUE[op], arch_srcs,
-            -1 if dst is None or is_zero_reg(dst) else dst)
+            -1 if dst is None or is_zero_reg(dst) else dst, [None])
 
 
 class PackedTrace:

@@ -38,7 +38,7 @@ class DynInstr:
     __slots__ = (
         "instr", "reg_srcs", "op", "mem_size", "is_load", "is_store",
         "is_control", "exec_latency", "queue_idx", "arch_srcs", "arch_dst",
-        "seq", "result", "addr", "taken", "next_pc",
+        "rename_plan", "seq", "result", "addr", "taken", "next_pc",
         "src_pregs", "dst_preg", "prev_preg",
         "deps_remaining", "store_dep",
         "early", "removed_load", "addr_known",
@@ -50,7 +50,7 @@ class DynInstr:
         """Row *row* of *trace*, whose static record is *static*."""
         (self.instr, self.reg_srcs, self.op, self.mem_size, self.is_load,
          self.is_store, self.is_control, self.exec_latency, self.queue_idx,
-         self.arch_srcs, self.arch_dst) = static
+         self.arch_srcs, self.arch_dst, self.rename_plan) = static
         self.seq = trace.first_seq + row
         self.result = trace.results[row]
         self.addr = trace.addrs[row]

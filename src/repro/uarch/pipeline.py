@@ -49,12 +49,13 @@ that cycle's own, as it would from the heap.  Each issue queue keeps
 its ready entries in a heap of their own, from which the issue stage,
 the issue policy, takes the oldest.
 
-The pipeline owns the references of in-flight instructions (see
-:mod:`repro.uarch.regfile`): rename names each instruction's physical
-sources and the pipeline takes one reference per source once rename
-succeeds, releases them when the instruction completes, and releases
-the mapping the instruction replaced when it retires.  Renamer hooks
-left at :class:`Renamer`'s no-ops are never called.
+The pipeline releases the references of in-flight instructions (see
+:mod:`repro.uarch.regfile`): rename takes one reference per physical
+source as it names it, the pipeline releases them when the instruction
+completes, and releases the mapping the instruction replaced when it
+retires.  Both releases are inline, by the rule of
+:meth:`PhysRegFile.release_all`, so they cost no call per instruction.
+Renamer hooks left at :class:`Renamer`'s no-ops are never called.
 
 The per-cycle loop fast-forwards across *provably idle* stretches —
 cycles where no event fires, no queue holds a ready instruction, and
@@ -190,7 +191,6 @@ class Pipeline:
         ports = tuple((queue.ready, queue.issue_width, queue,
                        index == QUEUE_MEM)
                       for index, queue in enumerate(queues))
-        sched_entries = config.sched_entries
         # configuration
         fetch_width = config.fetch_width
         block_mask = ~(fetch_width * 4 - 1)
@@ -369,7 +369,7 @@ class Pipeline:
                     if enter > now:
                         break
                     queue = queues[di.queue_idx]
-                    if queue.count >= sched_entries:
+                    if queue.count >= queue.capacity:
                         break
                     dispatch_queue.popleft()
                     deps = 0
@@ -429,13 +429,6 @@ class Pipeline:
                             continue  # retry this instruction
                         rename_stall_pregs += 1
                         break
-                    # Hold a reference on each source until completion.
-                    for preg in di.src_pregs:
-                        count = refcounts[preg]
-                        if count <= 0:
-                            raise ValueError(f"add_ref on free register "
-                                             f"p{preg}")
-                        refcounts[preg] = count + 1
                     frontend.popleft()
                     renamed += 1
                     rob.append(di)

@@ -8,7 +8,7 @@ name has been overwritten.  Section 3.1 therefore prescribes a
 reference-counting scheme (citing Jourdan et al. [15]); this module
 implements it.
 
-Who holds each reference, and which code releases it:
+Who holds each reference, and which code takes and releases it:
 
 * +1 held by the architectural RAT mapping, taken by
   :meth:`PhysRegFile.allocate` when a renamer maps a destination (or
@@ -18,9 +18,11 @@ Who holds each reference, and which code releases it:
   <repro.uarch.pipeline.Pipeline.run>` releases it when that
   instruction **retires**.
 * +1 per physical source of an in-flight instruction.  The renamer
-  names the sources (``src_pregs``); the pipeline takes their
-  references once rename succeeds and releases them when the
-  instruction **completes**.
+  takes it with :meth:`PhysRegFile.add_refs` as it names the source
+  (``src_pregs``), so a symbolic pin it drops later in the same rename
+  (a source's only other reference, possibly) cannot free the source.
+  :meth:`Pipeline.run <repro.uarch.pipeline.Pipeline.run>` releases
+  it when the instruction **completes**.
 * +1 per symbolic RAT entry whose base names the register, and +1 per
   pending MBC write: the optimizing renamer takes and releases these
   itself.
@@ -49,8 +51,11 @@ class PhysRegFile:
         self._num_regs = num_regs
         #: Reference count and allocation version per register, and the
         #: free list.  Hot readers (the renamers and the value-feedback
-        #: channel) may read these directly; they change only through
-        #: this class.
+        #: channel) may read these directly.  They change through this
+        #: class, with one exception: :meth:`Pipeline.run
+        #: <repro.uarch.pipeline.Pipeline.run>` releases the references
+        #: of completing and retiring instructions inline, by the rule
+        #: of :meth:`release_all`.
         self.refcounts = [0] * num_regs
         self.versions = [0] * num_regs
         self.free_list: deque[int] = deque(range(num_regs))
@@ -95,15 +100,21 @@ class PhysRegFile:
             self.high_water = in_use
         return preg
 
-    def add_refs(self, pregs) -> None:
-        """Add one reference to each register of *pregs*; each must be
-        live."""
+    def add_refs(self, pregs) -> tuple[int, ...]:
+        """Add one reference to each register of *pregs*.
+
+        Each must be live.  Returns the registers as a tuple, so a
+        renamer takes its sources' references and records them in one
+        step.
+        """
+        pregs = tuple(pregs)
         refcounts = self.refcounts
         for preg in pregs:
             count = refcounts[preg]
             if count <= 0:
                 raise ValueError(f"add_ref on free register p{preg}")
             refcounts[preg] = count + 1
+        return pregs
 
     def release_all(self, pregs) -> None:
         """Drop one reference from each register of *pregs*.

@@ -24,12 +24,12 @@ class Renamer:
     Implementations fill in the rename-related fields of each
     :class:`DynInstr` (``src_pregs``, ``dst_preg``, ``prev_preg`` and —
     for the optimizer — the ``early``/``removed_load``/``addr_known``
-    flags).  Rename names the physical sources and hands the
-    destination's previous mapping to ``prev_preg``; the pipeline takes
-    one reference per source once rename succeeds, releases them when
-    the instruction completes, and releases ``prev_preg`` when it
-    retires (see :mod:`repro.uarch.regfile`).  Any other reference a
-    renamer takes is its own to release.
+    flags).  Rename takes one reference per physical source as it names
+    it (``PhysRegFile.add_refs``) and hands the destination's previous
+    mapping to ``prev_preg``; the pipeline releases the sources when the
+    instruction completes and ``prev_preg`` when it retires (see
+    :mod:`repro.uarch.regfile`).  Any other reference a renamer takes
+    is its own to release.
 
     The pipeline never calls a per-cycle or per-instruction hook
     (``begin_bundle``, ``on_complete``, ``on_store_executed``,
@@ -109,16 +109,18 @@ class BaselineRenamer(Renamer):
         self._map = self.rat.mapping
         self._mapping_of = self._map.__getitem__
         self._free = prf.free_list
+        self._add_refs = prf.add_refs
 
     def rename(self, di: DynInstr, cycle: int) -> None:
         dst = di.arch_dst
-        # Check capacity before changing anything so a failed rename
-        # leaves no state behind.
+        # Check capacity before taking any references so a failed
+        # rename leaves no state behind.
         if dst >= 0 and not self._free:
             raise OutOfRegisters("no free physical registers")
         mapping = self._map
         if di.arch_srcs:
-            di.src_pregs = tuple(map(self._mapping_of, di.arch_srcs))
+            di.src_pregs = self._add_refs(map(self._mapping_of,
+                                              di.arch_srcs))
         if dst >= 0:
             preg = self._prf.allocate()
             di.prev_preg = mapping[dst]

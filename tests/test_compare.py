@@ -21,7 +21,7 @@ def _result(bytecodes: float, version: str = "3.11",
 def _main(tmp_path, fresh: dict, base: dict) -> int:
     path = tmp_path / "BENCH_x.json"
     path.write_text(json.dumps(fresh))
-    return compare.main([str(path)], load_committed=lambda _: base)
+    return compare.main([str(path)], load_committed=lambda _, ref: base)
 
 
 def test_a_row_two_percent_higher_fails(tmp_path, capsys):
@@ -50,7 +50,32 @@ def test_timings_are_printed_not_gated(tmp_path, capsys):
 def test_an_uncommitted_file_is_skipped(tmp_path):
     path = tmp_path / "BENCH_x.json"
     path.write_text(json.dumps(_result(5000.0)))
-    assert compare.main([str(path)], load_committed=lambda _: None) == 0
+    assert compare.main([str(path)],
+                        load_committed=lambda _, ref: None) == 0
+
+
+def test_the_baseline_comes_from_the_named_commit(tmp_path):
+    # CI names the target branch, so a change that commits new results
+    # is still compared with the counts it would replace.
+    path = tmp_path / "BENCH_x.json"
+    path.write_text(json.dumps(_result(1020.0)))
+    seen = []
+
+    def load(named, ref):
+        seen.append((named, ref))
+        return _result(1000.0)
+
+    assert compare.main(["--base", "HEAD^1", str(path)],
+                        load_committed=load) == 1
+    assert seen == [(path, "HEAD^1")]
+    assert compare.main([str(path)], load_committed=load) == 1
+    assert seen[-1] == (path, "HEAD")
+
+
+def test_a_file_is_read_at_the_named_commit():
+    path = ROOT / "benchmarks" / "results" / "BENCH_layers.json"
+    assert compare.committed(path, "HEAD") is not None
+    assert compare.committed(path, "no-such-ref-anywhere") is None
 
 
 def test_the_committed_layer_counts_pass_against_themselves():

@@ -1,10 +1,10 @@
 """Unit tests for the RAT, the baseline renamer, and who owns the
 references of in-flight instructions.
 
-Rename names each instruction's physical sources; the pipeline takes
-their references when rename succeeds, releases them when the
-instruction completes, and releases the mapping it replaced when it
-retires.  The tests of that ownership therefore run whole pipelines.
+Rename takes one reference per physical source as it names it; the
+pipeline releases them when the instruction completes, and releases
+the mapping it replaced when it retires.  The tests of that ownership
+therefore run whole pipelines.
 """
 
 import dataclasses
@@ -77,9 +77,9 @@ class TestBaselineRenamer:
                                 self.renamer.rat.lookup(3))
 
     def test_sources_take_references(self):
-        # The pipeline holds one reference per source from rename to
-        # completion: r2's register counts one more while the add
-        # waits on the load, and is back to its count once it is done.
+        # One reference per source is held from rename to completion:
+        # r2's register counts one more while the add waits on the
+        # load, and is back to its count once it is done.
         probe = _run_probe(BLOCKED_ADD, register=2)
         before = probe.counts[0]
         assert probe.in_flight == before + 1
@@ -278,8 +278,39 @@ class TestReferenceOwnership:
         class _FreeSource(BaselineRenamer):
             def rename(self, di, cycle):
                 super().rename(di, cycle)
-                di.src_pregs = (self._free[-1],)
+                di.src_pregs = self._add_refs((self._free[-1],))
 
         trace = build_trace("mcf").trace[:100]
         with pytest.raises(ValueError, match="add_ref on free register"):
             _run(trace, default_config(), _FreeSource)
+
+    def test_load_keeps_a_base_only_its_destination_pinned(self):
+        # r1 = p + 8 pins p; once the add retires the pin is p's only
+        # reference.  The last load reads p (its base is unknown: no
+        # feedback) and overwrites r1, dropping the pin: its source
+        # reference must already be held, or p is freed under it.
+        source = """.data
+cell:   .quad 64
+        .quad 72
+.text
+        ldi r5, cell
+        stq r5, 0(r30)
+        ldq r1, 0(r30)
+        add r1, r1, 8
+        ldi r2, 1
+        beq r2, skip
+skip:   ldi r3, 2
+        ldi r3, 3
+        ldq r1, 0(r1)
+        halt
+"""
+        trace = run_program(assemble(source)).trace
+        config = optimized_config(enable_feedback=False)
+        pipeline, stats = _run(trace, config)
+        assert stats.retired == len(trace)
+        # the mispredicted beq stalls fetch until the add has retired
+        assert stats.cond_mispredicts == 1
+        prf = pipeline.prf
+        holders = _optimizer_references(pipeline.renamer)
+        for preg in range(prf.num_regs):
+            assert prf.refcount(preg) == holders.count(preg), preg
