@@ -72,12 +72,6 @@ def test_the_baseline_comes_from_the_named_commit(tmp_path):
     assert seen[-1] == (path, "HEAD")
 
 
-def test_a_file_is_read_at_the_named_commit():
-    path = ROOT / "benchmarks" / "results" / "BENCH_layers.json"
-    assert compare.committed(path, "HEAD") is not None
-    assert compare.committed(path, "no-such-ref-anywhere") is None
-
-
 def test_the_committed_layer_counts_pass_against_themselves():
     data = json.loads(
         (ROOT / "benchmarks" / "results" / "BENCH_layers.json").read_text())
