@@ -111,20 +111,17 @@ import os
 import sys
 
 from . import quick_compare
+from .engine import jobs
 from .engine.backend import BACKEND_NAMES
-from .engine.campaign import Campaign, parse_axis, split_workloads
+from .engine.differential import format_report
 from .engine.events import format_event
-from .engine.pool import run_sweep
-from .engine.search import (DEFAULT_RUNG_INSNS, OBJECTIVES, SearchSpace,
-                            check_search_options, format_result,
-                            make_objective, resolve_search_workloads,
-                            run_search)
+from .engine.search import (DEFAULT_RUNG_INSNS, OBJECTIVES,
+                            check_search_options, format_result)
 from .engine.segments import SEGMENT_MODES, SegmentPolicy
 from .engine.store import ArtifactStore
 from .experiments import (autotune, depth, feedback, latency,
                           machine_models, runner, speedup, table1, table3,
                           vf_delay)
-from .uarch.config import default_config
 from .workloads import ALL_WORKLOADS, get_workload, synth
 
 _FIGURES = {
@@ -212,6 +209,13 @@ def _usage_error(command: str, error: Exception) -> int:
     return 2
 
 
+#: The global segmentation options of commands that build no policy:
+#: search and autotune simulate whole traces, fuzz takes --segment-insns
+#: as its spec's segment size.  Others are refused, not ignored.
+_SEGMENT_FLAGS_TAKEN = {"search": (), "autotune": (),
+                        "fuzz": ("--segment-insns",)}
+
+
 def _build_segment_policy(args) -> SegmentPolicy | None:
     """The global segmentation options as one validated policy.
 
@@ -220,9 +224,19 @@ def _build_segment_policy(args) -> SegmentPolicy | None:
     without one, a sample period outside sampled mode — surface here,
     at parse time, as the :class:`SegmentPolicy` validation errors.
     """
-    if (args.segment_mode is None and args.segment_insns is None
-            and args.sample_period is None
-            and args.warmup_insns is None):
+    given = [flag for flag, value in (
+        ("--segment-insns", args.segment_insns),
+        ("--segment-mode", args.segment_mode),
+        ("--sample-period", args.sample_period),
+        ("--warmup-insns", args.warmup_insns)) if value is not None]
+    taken = _SEGMENT_FLAGS_TAKEN.get(args.command)
+    if taken is not None:
+        refused = [flag for flag in given if flag not in taken]
+        if refused:
+            raise ValueError(f"{args.command} does not take "
+                             f"{', '.join(refused)}")
+        return None
+    if not given:
         return None
     mode = args.segment_mode
     if mode is None:
@@ -246,38 +260,42 @@ def _parse_scales(args) -> list[int]:
                          f"comma-separated integers") from None
 
 
+def _print_event(event) -> None:
+    print(format_event(event), file=sys.stderr)
+
+
+def _run_job(args, kind: str, spec: dict, progress) -> tuple:
+    """Run a normalized spec on the service's run path, with --store,
+    --jobs and --backend."""
+    return jobs.run(kind, spec, store_dir=args.store, jobs=args.jobs,
+                    progress=None if args.quiet else progress,
+                    backend=args.run_backend)
+
+
 def _cmd_sweep(args) -> int:
-    base = default_config()
-    if args.optimized:
-        base = base.with_optimizer()
+    kind = "sweep" if args.segment_policy is None else "segments"
     try:
-        scales = _parse_scales(args)
-        axes = [parse_axis(spec) for spec in args.axis or []]
-        campaign = Campaign.from_axes(
-            workloads=split_workloads(args.workloads)
-            if args.workloads else None,
-            suite=args.suite, scales=scales,
-            base=base, axes=axes, include_baseline=args.baseline)
-    except (ValueError, TypeError, AttributeError, KeyError) as error:
+        spec = {"workloads": args.workloads, "suite": args.suite,
+                "scales": _parse_scales(args), "axes": args.axis,
+                "optimized": args.optimized, "baseline": args.baseline}
+        if args.segment_policy is not None:
+            spec["policy"] = args.segment_policy.to_manifest()
+        spec = jobs.normalize(kind, spec)
+    except ValueError as error:
         # bad --axis syntax, unknown config path, wrong value type,
-        # unknown workload: a readable one-liner, not a traceback
+        # unknown workload: the service's 400 message, not a traceback
         return _usage_error("sweep", error)
-
-    def progress(event) -> None:
-        print(format_event(event), file=sys.stderr)
-
-    result = run_sweep(campaign.points(), jobs=args.jobs,
-                       store_dir=args.store,
-                       progress=progress if not args.quiet else None,
-                       segment_policy=args.segment_policy,
-                       backend=args.run_backend)
+    result, summary = _run_job(args, kind, spec, _print_event)
     _check_store_cap(args)
     report = result.to_dict()
     report["campaign"] = {
-        "workloads": list(campaign.workloads),
-        "scales": list(campaign.scales),
-        "variants": [label for label, _ in campaign.variants],
+        "workloads": spec["workloads"],
+        "scales": spec["scales"],
+        # grid order is workload-major, so these are the variants' order
+        "variants": list(dict.fromkeys(r.point.variant
+                                       for r in result.results)),
     }
+    report["ledger_sha256"] = summary["ledger_sha256"]
     text = json.dumps(report, indent=2 if args.pretty else None,
                       sort_keys=False)
     if args.out:
@@ -291,6 +309,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _parse_weights(specs: list[str] | None) -> dict[str, float]:
+    """``--weight WORKLOAD=W`` flags as a spec's weights object."""
     weights = {}
     for spec in specs or []:
         # rpartition: synth workload names legitimately contain '='
@@ -299,10 +318,7 @@ def _parse_weights(specs: list[str] | None) -> dict[str, float]:
         if not sep or not name or not value:
             raise ValueError(f"bad weight {spec!r}; expected "
                              f"'workload=value'")
-        # canonicalize abbreviations (and reject unknown workloads):
-        # scoring looks weights up by canonical name, so 'untst=4'
-        # must weight 'untoast', not be silently ignored
-        weights[get_workload(name.strip()).name] = float(value)
+        weights[name.strip()] = float(value)
     return weights
 
 
@@ -313,45 +329,23 @@ def _search_progress(event) -> None:
 
 
 def _cmd_search(args) -> int:
-    if args.segment_insns is not None:
-        # search evaluations run monolithic traces (halving has its own
-        # truncation budget); silently ignoring the flag would fake
-        # intra-workload sharding the user asked for
-        return _usage_error("search", ValueError(
-            "--segment-insns is not supported by search; use "
-            "--rung-insns to control halving's truncated budgets"))
-    if args.segment_mode is not None or args.sample_period is not None \
-            or args.warmup_insns is not None:
-        return _usage_error("search", ValueError(
-            "the global segmentation options are not supported by "
-            "search"))
-    base = default_config()
-    if args.optimized:
-        base = base.with_optimizer()
     try:
         # all argument validation happens here; a failure inside the
         # search itself must surface as a traceback, not be disguised
         # as a usage error
-        scales = tuple(_parse_scales(args))
-        space = SearchSpace.from_specs(args.dim)
-        workloads = resolve_search_workloads(
-            split_workloads(args.workloads) if args.workloads else None,
-            args.suite)
-        objective = make_objective(args.objective,
-                                   _parse_weights(args.weight))
-        check_search_options(args.strategy, args.budget, args.rung_insns)
-    except (ValueError, TypeError, AttributeError, KeyError) as error:
+        spec = jobs.normalize("search", {
+            "workloads": args.workloads, "suite": args.suite,
+            "scales": _parse_scales(args), "dims": args.dim,
+            "strategy": args.strategy, "budget": args.budget,
+            "objective": args.objective,
+            "weights": _parse_weights(args.weight), "seed": args.seed,
+            "rung_insns": args.rung_insns, "optimized": args.optimized})
+    except ValueError as error:
         return _usage_error("search", error)
-    result = run_search(
-        space, workloads=workloads, scales=scales, base=base,
-        strategy=args.strategy, budget=args.budget,
-        objective=objective, seed=args.seed,
-        rung_insns=args.rung_insns, jobs=args.jobs,
-        store_dir=args.store,
-        progress=None if args.quiet else _search_progress,
-        backend=args.run_backend)
+    result, summary = _run_job(args, "search", spec, _search_progress)
     _check_store_cap(args)
-    report = json.dumps(result.to_dict(),
+    report = json.dumps({**result.to_dict(),
+                         "ledger_sha256": summary["ledger_sha256"]},
                         indent=2 if args.pretty else None)
     if args.out:
         with open(args.out, "w") as fh:
@@ -366,14 +360,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_autotune(args) -> int:
-    if args.segment_insns is not None:
-        return _usage_error("autotune", ValueError(
-            "--segment-insns is not supported by autotune"))
-    if args.segment_mode is not None or args.sample_period is not None \
-            or args.warmup_insns is not None:
-        return _usage_error("autotune", ValueError(
-            "the global segmentation options are not supported by "
-            "autotune"))
     per_suite = 2 if args.per_suite is None else args.per_suite
     try:
         check_search_options(args.strategy)
@@ -391,47 +377,27 @@ def _cmd_autotune(args) -> int:
     return 0 if report.matches_paper else 1
 
 
-def _parse_seed_range(text: str) -> range:
+def _parse_seed_range(text: str) -> list[int]:
+    """``--seeds LO:HI`` (a bare N means 0:N) as a spec's seeds pair."""
     lo_text, sep, hi_text = text.partition(":")
     try:
-        if sep:
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo, hi = 0, int(lo_text)
+        return [int(lo_text), int(hi_text)] if sep else [0, int(lo_text)]
     except ValueError:
         raise ValueError(f"bad --seeds {text!r}; expected 'LO:HI' "
                          f"(half-open) or a bare count") from None
-    if hi <= lo:
-        raise ValueError(f"empty seed range {text!r}")
-    return range(lo, hi)
 
 
 def _cmd_fuzz(args) -> int:
-    from .engine.differential import (DEFAULT_SEGMENT_INSNS,
-                                      format_report, run_fuzz)
-    from .workloads.synth import FAMILIES
     try:
-        seeds = _parse_seed_range(args.seeds)
-        if args.families:
-            families = tuple(f.strip() for f in args.families.split(","))
-            unknown = [f for f in families if f not in FAMILIES]
-            if unknown:
-                raise ValueError(f"unknown families {unknown}; "
-                                 f"known: {list(FAMILIES)}")
-        else:
-            families = FAMILIES
+        spec = jobs.normalize("fuzz", {
+            "seeds": _parse_seed_range(args.seeds),
+            "families": [f.strip() for f in args.families.split(",")]
+            if args.families else None,
+            "scale": args.scale, "small": args.budget_small,
+            "segment_insns": args.segment_insns})
     except ValueError as error:
         return _usage_error("fuzz", error)
-
-    def progress(event):
-        print(format_event(event), file=sys.stderr)
-
-    fuzz = run_fuzz(seeds, families=families, scale=args.scale,
-                    small=args.budget_small,
-                    segment_insns=args.segment_insns
-                    or DEFAULT_SEGMENT_INSNS,
-                    progress=None if args.quiet else progress,
-                    jobs=args.jobs, backend=args.run_backend)
+    fuzz, _ = _run_job(args, "fuzz", spec, _print_event)
     if args.json:
         print(json.dumps(fuzz.to_dict(),
                          indent=2 if args.pretty else None))
@@ -634,6 +600,29 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+def _add_grid_flags(parser, workloads_note: str) -> None:
+    """The flags sweep and search share: their grid's spec keys, then
+    --pretty and --quiet."""
+    parser.add_argument("--workloads", default=None,
+                        help=f"comma-separated names/abbreviations "
+                             f"{workloads_note}; use ';' as the separator "
+                             f"when listing parameterized synth names "
+                             f"that contain commas")
+    parser.add_argument("--suite", default=None,
+                        help="one whole suite (SPECint/SPECfp/mediabench/"
+                             "synth)")
+    parser.add_argument("--scales", default=None,
+                        help="comma-separated scale factors (default: "
+                             "the global --scale value)")
+    parser.add_argument("--optimized", action="store_true",
+                        help="enable the continuous optimizer on the "
+                             "base config")
+    parser.add_argument("--pretty", action="store_true",
+                        help="indent the JSON report")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress progress on stderr")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -719,31 +708,15 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run a (workload x scale x config) grid",
         description="Run an arbitrary design-space grid and emit JSON "
                     "results (per-point stats plus cache-hit counters).")
-    sweep.add_argument("--workloads", default=None,
-                       help="comma-separated names/abbreviations "
-                            "(default: all 22); use ';' as the "
-                            "separator when listing parameterized "
-                            "synth names that contain commas")
-    sweep.add_argument("--suite", default=None,
-                       help="sweep one suite (SPECint/SPECfp/mediabench)")
-    sweep.add_argument("--scales", default=None,
-                       help="comma-separated scale factors (default: the "
-                            "global --scale value)")
+    _add_grid_flags(sweep, "(default: all 22)")
     sweep.add_argument("--axis", action="append", metavar="PATH=V1,V2,...",
                        help="config axis, e.g. optimizer.vf_delay=0,1,5; "
                             "repeatable (axes take a cartesian product)")
-    sweep.add_argument("--optimized", action="store_true",
-                       help="enable the continuous optimizer on the "
-                            "base config before applying axes")
     sweep.add_argument("--baseline", action="store_true",
                        help="also include the optimizer-off baseline "
                             "as a variant")
     sweep.add_argument("--out", default=None, metavar="FILE",
                        help="write the JSON report here instead of stdout")
-    sweep.add_argument("--pretty", action="store_true",
-                       help="indent the JSON output")
-    sweep.add_argument("--quiet", action="store_true",
-                       help="suppress per-shard progress on stderr")
     sweep.set_defaults(handler=_cmd_sweep)
     search = sub.add_parser(
         "search", help="design-space search for the best config",
@@ -756,15 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="search dimension: int range "
                              "(sched_entries=8..32:8) or categorical "
                              "(optimizer.enabled=false,true); repeatable")
-    search.add_argument("--workloads", default=None,
-                        help="comma-separated names/abbreviations to "
-                             "score candidates on (';' separator for "
-                             "parameterized synth names with commas)")
-    search.add_argument("--suite", default=None,
-                        help="score candidates on one whole suite")
-    search.add_argument("--scales", default=None,
-                        help="comma-separated scale factors (default: "
-                             "the global --scale value)")
+    _add_grid_flags(search, "to score candidates on")
     search.add_argument("--strategy", default="random",
                         help="grid (exhaustive), random (seeded "
                              "sampling), or halving (truncated-trace "
@@ -785,9 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="halving's first-rung instruction budget "
                              "(doubles per rung; default "
                              f"{DEFAULT_RUNG_INSNS})")
-    search.add_argument("--optimized", action="store_true",
-                        help="enable the continuous optimizer on the "
-                             "base config before searching")
     search.add_argument("--top", type=int, default=5,
                         help="ranked candidates in the human report")
     search.add_argument("--json", action="store_true",
@@ -795,11 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "of the human summary")
     search.add_argument("--out", default=None, metavar="FILE",
                         help="also write the JSON report to FILE")
-    search.add_argument("--pretty", action="store_true",
-                        help="indent the JSON report")
-    search.add_argument("--quiet", action="store_true",
-                        help="suppress per-evaluation progress on "
-                             "stderr")
     search.set_defaults(handler=_cmd_search)
     autotune_parser = sub.add_parser(
         "autotune", help="recover Figure 10's best config via search",

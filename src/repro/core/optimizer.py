@@ -141,6 +141,9 @@ class OptimizingRenamer(BaselineRenamer):
         self._opt = ocfg.enable_opt
         self._rle_sf = ocfg.enable_opt and ocfg.enable_rle_sf
         self._publish = ocfg.enable_feedback
+        # Only a table the renamer probes takes early results; in
+        # feedback-only mode (Figure 9) they return by the delay line.
+        self._record_known = ocfg.enable_opt and ocfg.enable_feedback
         self._add_depth = ocfg.add_depth
         self._mem_depth = ocfg.mem_depth
         self._strict = ocfg.verify
@@ -270,10 +273,8 @@ class OptimizingRenamer(BaselineRenamer):
                 sym = (SMALL_CONSTS[value + 256] if -256 <= value <= 256
                        else symbolic.const(value))
             dst = self._allocate_dst(di, sym, depth, mem_chain)
-            if dst is not None and self._opt:
-                # Recording the computed value is constant propagation;
-                # in feedback-only mode (Figure 9) the result instead
-                # returns through the normal delayed feedback path.
+            if dst is not None and self._record_known:
+                # Recording the computed value is constant propagation.
                 self.feedback.record_known(dst, value)
             return
         if kind == REWRITTEN:
@@ -430,7 +431,7 @@ class OptimizingRenamer(BaselineRenamer):
             di.early = True
             self.stat_early += 1
             dst = self._allocate_dst(di, symbolic.const(return_pc))
-            if dst is not None and self._opt:
+            if dst is not None and self._record_known:
                 self.feedback.record_known(dst, return_pc)
             return
         # ret / jmp: indirect through an integer register.
@@ -528,7 +529,7 @@ class OptimizingRenamer(BaselineRenamer):
             di.early = True
             self.stat_early += 1
             dst = self._allocate_dst(di, sym, 0, 1)
-            if dst is not None:
+            if dst is not None and self._record_known:
                 self.feedback.record_known(dst, value)
             return True
         if sym[1] == 0 and sym[2] == 0:

@@ -32,6 +32,9 @@ ProcessPoolExecutor` sharding layer that groups sweep points by
   timer spans) every layer above records into; snapshots merge
   associatively so worker processes ship theirs back through the
   same result path as :class:`~repro.uarch.pipeline.PipelineStats`.
+* :mod:`repro.engine.jobs` — the job layer: each job kind's spec
+  keys, the one validator and the one run path that both ``repro
+  sweep/search/fuzz`` and the service use.
 * :mod:`repro.engine.service` — the async streaming results service:
   a :class:`~repro.engine.service.JobManager` running sweeps,
   searches, segmented sweeps, and fuzz campaigns as named concurrent
@@ -44,7 +47,7 @@ command line drive it directly.
 """
 
 from .campaign import (Campaign, SweepPoint, apply_override, expand_axes,
-                       parse_axis, split_workloads)
+                       parse_axis)
 from .events import (EvaluationEvent, Event, FindingEvent,
                      JobFailedEvent, JobFinishedEvent, JobStartedEvent,
                      MetricEvent, PointEvent, SegmentEvent,
@@ -77,7 +80,7 @@ def __getattr__(name: str):
 __all__ = [
     "ArtifactStore",
     "Campaign", "SweepPoint", "apply_override", "expand_axes",
-    "parse_axis", "split_workloads",
+    "parse_axis",
     "Event", "PointEvent", "EvaluationEvent", "SegmentEvent",
     "FindingEvent", "JobStartedEvent", "JobFinishedEvent",
     "JobFailedEvent", "MetricEvent", "event_from_dict",

@@ -38,22 +38,6 @@ class SweepPoint:
         return f"{self.workload}@{self.scale}/{self.variant}"
 
 
-def split_workloads(text: str) -> list[str]:
-    """Split a workload-list string on commas — or semicolons.
-
-    Parameterized synth names contain commas
-    (``synth:mixed@seed=0,mem=40``), so a list holding one may use
-    ``;`` as the separator instead; with any semicolon present, commas
-    are treated as part of the names.  A trailing separator marks a
-    single parameterized name:
-    ``'synth:mixed@seed=0,mem=40;'``.  Used by the CLI's
-    ``--workloads`` options and the service's job specs.
-    """
-    separator = ";" if ";" in text else ","
-    return [part for part in (p.strip() for p in text.split(separator))
-            if part]
-
-
 def apply_override(config, path: str, value):
     """Replace one field addressed by a dotted path on a frozen config.
 

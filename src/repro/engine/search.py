@@ -39,7 +39,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..uarch.config import MachineConfig, default_config
-from ..workloads import get_workload, suite_workloads
 from .backend import resolve_backend
 from .campaign import SweepPoint, _parse_value, apply_override
 from .events import EvaluationEvent, PointEvent
@@ -507,19 +506,20 @@ def _search_halving(space: SearchSpace, evaluator: _Evaluator,
 _STRATEGY_FUNCS = {"grid": _search_grid, "random": _search_random,
                    "halving": _search_halving}
 
+STRATEGIES = tuple(_STRATEGY_FUNCS)
+
 
 def check_search_options(strategy: str, budget: int | None = None,
                          rung_insns: int = DEFAULT_RUNG_INSNS) -> None:
     """Raise ``ValueError`` unless the strategy options are usable.
 
-    The one home of these rules: :func:`run_search`, ``repro search``
-    (exit 2) and the service's submit check (HTTP 400) all call it, so
-    a bad value gets the same message wherever it is given.
+    The one home of these rules: :func:`run_search`, ``repro autotune``
+    and :func:`repro.engine.jobs.normalize` all call it, so a bad value
+    gets the same message wherever it is given.
     """
-    # service specs are JSON: a list must be refused, not be unhashable
     if not isinstance(strategy, str) or strategy not in _STRATEGY_FUNCS:
         raise ValueError(f"unknown strategy {strategy!r}; expected one "
-                         f"of {', '.join(_STRATEGY_FUNCS)}")
+                         f"of {', '.join(STRATEGIES)}")
     if budget is not None and budget <= 0:
         raise ValueError(f"budget must be > 0, got {budget}")
     if rung_insns <= 0:
@@ -630,18 +630,6 @@ def format_result(result: SearchResult, top: int = 5) -> str:
         lines.append(f"  {rank}. {evaluation.candidate.label:<{width}}  "
                      f"{result.objective} {evaluation.score:.4f}{marker}")
     return "\n".join(lines)
-
-
-def resolve_search_workloads(workloads: list[str] | None = None,
-                             suite: str | None = None) -> tuple[str, ...]:
-    """Canonical workload names for a search (names/abbrevs/suite)."""
-    if workloads:
-        return tuple(get_workload(n).name for n in workloads)
-    if suite:
-        return tuple(w.name for w in suite_workloads(suite))
-    raise ValueError("search needs --workloads or --suite (searching "
-                     "all 22 kernels is rarely intended; pass them "
-                     "explicitly if it is)")
 
 
 def run_search(space: SearchSpace, *, workloads: tuple[str, ...],

@@ -113,8 +113,10 @@ class SegmentPolicy:
     warmup_insns: int = 0
     phase_seed: int = 0
 
-    _MANIFEST_KEYS = frozenset({"mode", "segment_insns", "sample_period",
-                                "warmup_insns", "phase_seed"})
+    #: Manifest fields and their JSON types.
+    _MANIFEST_TYPES = {"mode": str, "segment_insns": int,
+                       "sample_period": int, "warmup_insns": int,
+                       "phase_seed": int}
 
     def __post_init__(self):
         if self.mode not in SEGMENT_MODES:
@@ -172,23 +174,23 @@ class SegmentPolicy:
 
         Unknown fields are rejected by name: a policy field the server
         does not understand silently ignored would change what the job
-        simulates.
+        simulates; so is a value of another JSON type (``1500.7`` or
+        ``true`` for an integer).  A null field takes its default.
         """
-        if not isinstance(manifest, dict):
-            raise ValueError(
-                f"segment policy must be an object, got {manifest!r}")
-        unknown = sorted(set(manifest) - cls._MANIFEST_KEYS)
+        unknown = sorted(set(manifest) - set(cls._MANIFEST_TYPES))
         if unknown:
             raise ValueError(
                 f"unknown segment policy fields {unknown}; "
-                f"known fields: {sorted(cls._MANIFEST_KEYS)}")
-        seg = manifest.get("segment_insns")
-        period = manifest.get("sample_period")
-        return cls(mode=manifest.get("mode", "fixed"),
-                   segment_insns=None if seg is None else int(seg),
-                   sample_period=None if period is None else int(period),
-                   warmup_insns=int(manifest.get("warmup_insns", 0)),
-                   phase_seed=int(manifest.get("phase_seed", 0)))
+                f"known fields: {sorted(cls._MANIFEST_TYPES)}")
+        given = {key: value for key, value in manifest.items()
+                 if value is not None}
+        for key, value in given.items():
+            # type(), not isinstance(): a bool is no JSON integer
+            if type(value) is not cls._MANIFEST_TYPES[key]:
+                kind = "a string" if key == "mode" else "an integer"
+                raise ValueError(f"policy {key} must be {kind}, "
+                                 f"got {value!r}")
+        return cls(**given)
 
     def token(self) -> str:
         """A short stable string identity (cache keys, ledger labels)."""

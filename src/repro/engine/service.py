@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import asyncio
 import atexit
-import hashlib
 import json
 import math
 import shutil
@@ -83,41 +82,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import AsyncIterator, Callable
 
-from ..uarch.config import default_config
-from ..workloads.synth import FAMILIES
 from .backend import BACKEND_NAMES, ExecutionBackend
-from .campaign import Campaign, parse_axis, split_workloads
-from .differential import DEFAULT_SEGMENT_INSNS, run_fuzz
 from .events import (Event, JobFailedEvent, JobFinishedEvent,
                      JobStartedEvent, MetricEvent, format_event)
-from .pool import resolve_jobs, run_sweep
-from .search import (DEFAULT_RUNG_INSNS, SearchSpace, check_search_options,
-                     make_objective, resolve_search_workloads, run_search)
-from .segments import SegmentPolicy, run_segmented_sweep
+from .jobs import JOB_KINDS, normalize
+from .jobs import run as run_job
+from .pool import resolve_jobs
 from .store import (ArtifactStore, tenant_store_root, tenant_usage,
                     validate_tenant_name)
 from .telemetry import TELEMETRY
 from .workers import set_worker_start_method
-
-JOB_KINDS = ("sweep", "search", "segments", "fuzz")
-
-#: Recognized spec keys per job kind.  Submissions naming anything
-#: else are rejected with a 400: a typo (``"workload"``) would
-#: otherwise be dropped on the floor and — for sweeps — silently
-#: expand the grid to all 22 kernels.
-_COMMON_KEYS = frozenset({"kind", "name"})
-_SPEC_KEYS = {
-    "sweep": _COMMON_KEYS | {"workloads", "suite", "scales", "axes",
-                             "optimized", "baseline"},
-    "segments": _COMMON_KEYS | {"workloads", "suite", "scales", "axes",
-                                "optimized", "baseline", "policy"},
-    "search": _COMMON_KEYS | {"workloads", "suite", "scales", "dims",
-                              "strategy", "budget", "objective",
-                              "weights", "seed", "rung_insns",
-                              "optimized"},
-    "fuzz": _COMMON_KEYS | {"seeds", "families", "scale", "small",
-                            "segment_insns"},
-}
 
 #: Job states.  ``cancelled`` is terminal; ``pending`` jobs sit in the
 #: executor queue waiting for a thread.
@@ -318,159 +292,25 @@ class Job:
         return summary
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 # ----------------------------------------------------------------------
 # job bodies (run on executor threads; emit via a thread-safe callback)
 # ----------------------------------------------------------------------
 
 
-def _spec_scales(spec: dict) -> list[int]:
-    """The spec's scales as a validated int list.
-
-    A string would otherwise be iterated character by character
-    (``"12"`` -> scales 1 and 2) — reject anything but a list/tuple
-    of integers, in keeping with the submit-time strictness that
-    rejects unknown keys.
-    """
-    scales = spec.get("scales", [1])
-    if not isinstance(scales, (list, tuple)) or not scales:
-        raise ValueError(f"scales must be a non-empty list of "
-                         f"integers, got {scales!r}")
-    return [int(s) for s in scales]
+def _job_body(kind: str) -> Callable[..., dict]:
+    """The executor body of one job kind (the spec comes first)."""
+    def body(spec: dict, store_dir: str, jobs: int,
+             emit: Callable[[Event], None], backend=None) -> dict:
+        # emit() raises JobCancelled when the cancel flag is set and
+        # every engine entry point calls it after each completed unit,
+        # so cancellation needs no extra plumbing here
+        return run_job(kind, spec, store_dir=store_dir, jobs=jobs,
+                       progress=emit, backend=backend)[1]
+    return body
 
 
-def _segment_policy_from_spec(spec: dict) -> SegmentPolicy:
-    """The segments job's ``"policy"`` object.
-
-    A :meth:`SegmentPolicy.to_manifest` object; unknown fields inside
-    it are rejected by name.
-    """
-    policy_spec = spec.get("policy")
-    if policy_spec is None:
-        raise ValueError("segments job needs a policy")
-    if not isinstance(policy_spec, dict):
-        raise ValueError(f"policy must be a JSON object, "
-                         f"got {policy_spec!r}")
-    return SegmentPolicy.from_manifest(policy_spec)
-
-
-def _campaign_from_spec(spec: dict) -> Campaign:
-    base = default_config()
-    if spec.get("optimized"):
-        base = base.with_optimizer()
-    workloads = spec.get("workloads")
-    if isinstance(workloads, str):
-        workloads = split_workloads(workloads)
-    return Campaign.from_axes(
-        workloads=workloads, suite=spec.get("suite"),
-        scales=_spec_scales(spec), base=base,
-        axes=[parse_axis(s) for s in spec.get("axes", [])],
-        include_baseline=bool(spec.get("baseline", False)))
-
-
-def _sweep_body(spec: dict, store_dir: str, jobs: int,
-                emit: Callable[[Event], None], backend=None) -> dict:
-    # emit() raises JobCancelled when the cancel flag is set and
-    # run_sweep calls it after every completed point, so cancellation
-    # needs no extra plumbing here
-    points = _campaign_from_spec(spec).points()
-    sweep = run_sweep(points, jobs=jobs, store_dir=store_dir,
-                      progress=emit, backend=backend)
-    ledger = sweep.ledger_json()
-    return {"points": len(points), "counters": dict(sweep.counters),
-            "elapsed_seconds": round(sweep.elapsed, 3),
-            "retired_insns": sum(r.stats.retired
-                                 for r in sweep.results),
-            "ledger": ledger, "ledger_sha256": _sha256(ledger)}
-
-
-def _segments_body(spec: dict, store_dir: str, jobs: int,
-                   emit: Callable[[Event], None], backend=None) -> dict:
-    # submit-time validation normalized the spec to a policy manifest
-    policy = SegmentPolicy.from_manifest(spec["policy"])
-    points = _campaign_from_spec(spec).points()
-    sweep = run_segmented_sweep(points, policy, jobs=jobs,
-                                store_dir=store_dir, progress=emit,
-                                backend=backend)
-    ledger = sweep.ledger_json()
-    result = {"points": len(points), "counters": dict(sweep.counters),
-              "elapsed_seconds": round(sweep.elapsed, 3),
-              "retired_insns": sum(r.stats.retired
-                                   for r in sweep.results),
-              "policy": policy.to_manifest(),
-              "ledger": ledger, "ledger_sha256": _sha256(ledger)}
-    estimated = [r for r in sweep.results if r.estimated]
-    if estimated:
-        # sampled runs return extrapolations, never exact numbers —
-        # the summary says so and carries the worst per-point CI
-        result["estimated"] = True
-        result["max_relative_error"] = max(
-            (r.error_bounds or {}).get("relative_error", 0.0)
-            for r in estimated)
-    return result
-
-
-def _search_options(spec: dict) -> dict:
-    """A search spec's strategy options as :func:`run_search` keywords."""
-    budget, rung_insns = spec.get("budget"), spec.get("rung_insns")
-    return {"strategy": spec.get("strategy", "random"),
-            "budget": None if budget is None else int(budget),
-            "rung_insns": DEFAULT_RUNG_INSNS if rung_insns is None
-            else int(rung_insns)}
-
-
-def _search_body(spec: dict, store_dir: str, jobs: int,
-                 emit: Callable[[Event], None], backend=None) -> dict:
-    space = SearchSpace.from_specs(list(spec["dims"]))
-    workloads_spec = spec.get("workloads")
-    if isinstance(workloads_spec, str):
-        workloads_spec = split_workloads(workloads_spec)
-    workloads = resolve_search_workloads(workloads_spec,
-                                         spec.get("suite"))
-    base = default_config()
-    if spec.get("optimized"):
-        base = base.with_optimizer()
-    result = run_search(
-        space, workloads=workloads,
-        scales=tuple(_spec_scales(spec)), base=base,
-        objective=make_objective(spec.get("objective", "geomean-ipc"),
-                                 spec.get("weights")),
-        seed=int(spec.get("seed", 0)), jobs=jobs, store_dir=store_dir,
-        progress=emit, backend=backend, **_search_options(spec))
-    ledger = result.ledger_json()
-    return {"best": result.best.candidate.label,
-            "score": result.best.score,
-            "evaluations": len(result.evaluations),
-            "counters": dict(result.counters),
-            "elapsed_seconds": round(result.elapsed, 3),
-            "ledger": ledger, "ledger_sha256": _sha256(ledger)}
-
-
-def _fuzz_body(spec: dict, store_dir: str, jobs: int,
-               emit: Callable[[Event], None], backend=None) -> dict:
-    seeds = spec.get("seeds", [0, 8])
-    families = spec.get("families")
-    started = time.perf_counter()
-    fuzz = run_fuzz(
-        range(int(seeds[0]), int(seeds[1])),
-        **({"families": tuple(families)} if families else {}),
-        scale=int(spec.get("scale", 1)),
-        small=bool(spec.get("small", False)),
-        segment_insns=int(spec.get("segment_insns",
-                                   DEFAULT_SEGMENT_INSNS)),
-        progress=emit, jobs=jobs, backend=backend)
-    return {"ok": fuzz.ok, "programs": len(fuzz.programs),
-            "failed": len(fuzz.failed),
-            "elapsed_seconds": round(time.perf_counter() - started, 3),
-            "retired_insns": sum(p.instructions
-                                 for p in fuzz.programs)}
-
-
-_JOB_BODIES = {"sweep": _sweep_body, "segments": _segments_body,
-               "search": _search_body, "fuzz": _fuzz_body}
+#: Job kind -> body; ``JobManager._run`` looks bodies up here.
+_JOB_BODIES = {kind: _job_body(kind) for kind in JOB_KINDS}
 
 
 # ----------------------------------------------------------------------
@@ -741,64 +581,18 @@ class JobManager:
                 "capacity",
                 f"job queue full ({active} active jobs); retry after "
                 f"some finish or are cancelled")
-        unknown = sorted(set(spec) - _SPEC_KEYS[kind])
-        if unknown:
-            raise ServiceError(
-                f"unknown {kind} spec keys {unknown}; known: "
-                f"{sorted(_SPEC_KEYS[kind] - _COMMON_KEYS)}")
+        try:
+            # the one validator, shared with the CLI: cheap (no grid is
+            # built), so it runs here on the event loop
+            params = normalize(kind, {key: value for key, value
+                                      in spec.items()
+                                      if key not in ("kind", "name")})
+        except ValueError as error:
+            raise ServiceError(str(error)) from error
         self._sequence += 1
         job_id = f"j{self._sequence}"
-        name = str(spec.get("name") or job_id)
-        job = Job(id=job_id, kind=kind, name=name, tenant=tenant,
-                  spec={k: v for k, v in spec.items()
-                        if k not in ("kind", "name")})
-        # surface bad specs as a 400 now, not a failed job later: build
-        # the campaign/space eagerly (cheap — no simulation happens)
-        try:
-            if kind in ("sweep", "segments"):
-                # .size, not .points(): a huge grid must not be
-                # materialized on the event loop just to validate
-                campaign = _campaign_from_spec(job.spec)
-                if kind == "segments":
-                    # normalize: the body and the GET /jobs echo see
-                    # one canonical manifest, defaults filled in
-                    job.spec["policy"] = _segment_policy_from_spec(
-                        job.spec).to_manifest()
-                if campaign.size == 0:
-                    raise ValueError("sweep spec names an empty grid")
-            elif kind == "search":
-                if not job.spec.get("dims"):
-                    raise ValueError("search job needs a dims list")
-                _spec_scales(job.spec)
-                SearchSpace.from_specs(list(job.spec["dims"]))
-                resolve_search_workloads(
-                    split_workloads(job.spec["workloads"])
-                    if isinstance(job.spec.get("workloads"), str)
-                    else job.spec.get("workloads"),
-                    job.spec.get("suite"))
-                check_search_options(**_search_options(job.spec))
-                make_objective(job.spec.get("objective", "geomean-ipc"),
-                               job.spec.get("weights"))
-                int(job.spec.get("seed", 0))
-            elif kind == "fuzz":
-                seeds = job.spec.get("seeds", [0, 8])
-                # a string like "19" would pass a bare len()==2 check
-                # and fuzz range(1, 9) — same class _spec_scales guards
-                if not isinstance(seeds, (list, tuple)) \
-                        or len(seeds) != 2 \
-                        or int(seeds[0]) >= int(seeds[1]):
-                    raise ValueError(f"bad fuzz seeds {seeds!r}; "
-                                     f"expected [lo, hi) with lo < hi")
-                int(job.spec.get("scale", 1))
-                unknown = [f for f in job.spec.get("families", [])
-                           if f not in FAMILIES]
-                if unknown:
-                    raise ValueError(f"unknown families {unknown}; "
-                                     f"known: {list(FAMILIES)}")
-        except ServiceError:
-            raise
-        except (ValueError, TypeError, AttributeError, KeyError) as err:
-            raise ServiceError(str(err)) from err
+        job = Job(id=job_id, kind=kind, tenant=tenant, spec=params,
+                  name=str(spec.get("name") or job_id))
         job.submitted_at = time.perf_counter()
         job.submitted_wall = time.time()
         self._jobs[job_id] = job

@@ -317,6 +317,17 @@ loop:   add r4, r4, 2
         without_fb = run_opt(source, enable_feedback=False)
         assert with_fb.early_executed > without_fb.early_executed
 
+    def test_feedback_off_records_no_known_values(self):
+        # With feedback off the renamer probes its own empty table, so
+        # an early result written to the channel's would never be read.
+        from repro.uarch.pipeline import make_pipeline
+        from repro.workloads import build_trace
+        pipeline = make_pipeline(build_trace("gcc").trace,
+                                 optimized_config(enable_feedback=False))
+        stats = pipeline.run()
+        assert stats.early_executed > 0
+        assert pipeline.renamer.feedback.known == {}
+
     def test_feedback_only_mode_still_executes_early(self):
         stats = run_opt(""".data
 n:      .quad 30

@@ -18,12 +18,12 @@ import random
 import pytest
 
 from repro.engine.campaign import SweepPoint
+from repro.engine.jobs import normalize
 from repro.engine.pool import PointResult, run_sweep, run_sweep_iter
 from repro.engine.search import (Candidate, Categorical, GeomeanIPC,
                                  IntRange, SearchSpace,
                                  WeightedIPC, format_result,
-                                 make_objective, parse_dim,
-                                 resolve_search_workloads, run_search)
+                                 make_objective, parse_dim, run_search)
 from repro.engine.store import ArtifactStore, stats_key
 from repro.experiments import autotune
 from repro.uarch.config import default_config
@@ -185,6 +185,11 @@ class TestObjectives:
             make_objective("latency")
 
     def test_resolve_workloads(self):
+        def resolve_search_workloads(workloads, suite=None):
+            # a search spec's workloads, as the job layer resolves them
+            return tuple(normalize("search", {
+                "workloads": workloads, "suite": suite,
+                "dims": SPECS[:1]})["workloads"])
         assert resolve_search_workloads(["mcf", "untst"]) == \
             ("mcf", "untoast")
         assert "untoast" in resolve_search_workloads(None, "mediabench")
@@ -577,11 +582,18 @@ class TestSearchCli:
 
     def test_weight_keys_canonicalized_and_validated(self):
         from repro.cli import _parse_weights
+
+        def weights(flags):
+            # the CLI passes --weight names as given; the job layer
+            # resolves them, as it does for a service spec
+            return normalize("search", {
+                "workloads": ["mcf"], "dims": SPECS[:1],
+                "weights": _parse_weights(flags)})["weights"]
         # abbreviations resolve to the canonical name the scorer uses
-        assert _parse_weights(["untst=4"]) == {"untoast": 4.0}
-        assert _parse_weights(None) == {}
-        with pytest.raises(KeyError):
-            _parse_weights(["doom3=2"])
+        assert weights(["untst=4"]) == {"untoast": 4.0}
+        assert weights(None) == {}
+        with pytest.raises(ValueError, match="doom3"):
+            weights(["doom3=2"])
         with pytest.raises(ValueError):
             _parse_weights(["no-equals"])
 

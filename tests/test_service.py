@@ -294,9 +294,26 @@ class TestJobManager:
                              {"kind": "fuzz", "seeds": [5, 5]},
                              {"kind": "fuzz", "seeds": [0, 1],
                               "families": ["quantum"]},
+                             # one JSON type per field: a string is no
+                             # boolean, a float no integer, and none is
+                             # converted into what it did not say
+                             {"kind": "sweep", "workloads": ["mcf"],
+                              "optimized": "false", "baseline": "no"},
+                             {"kind": "sweep", "workloads": ["mcf"],
+                              "scales": [1.9]},
+                             {"kind": "search", "workloads": ["mcf"],
+                              "dims": ["optimizer.enabled=false,true"],
+                              "budget": 2.5},
+                             {"kind": "segments", "workloads": ["mcf"],
+                              "policy": {"segment_insns": 1500.7}},
+                             {"kind": "search", "workloads": ["untoast"],
+                              "dims": ["optimizer.enabled=false,true"],
+                              "objective": "weighted-ipc",
+                              "weights": {"untoast": "4"}},
                              "not an object"):
-                    with pytest.raises(ServiceError):
+                    with pytest.raises(ServiceError) as err:
                         await manager.submit(spec)
+                    assert err.value.status == 400
                 assert manager.list_jobs() == []
             finally:
                 await manager.close()

@@ -9,7 +9,7 @@ import pytest
 
 from repro.engine.campaign import Campaign
 from repro.engine.pool import run_sweep
-from repro.engine.search import resolve_search_workloads
+from repro.engine.jobs import normalize
 from repro.isa.opcodes import OpClass
 from repro.workloads import (ALL_SUITES, ALL_WORKLOADS, SUITES,
                              build_program, build_trace, get_workload,
@@ -84,6 +84,11 @@ class TestRegistry:
             suite_workloads("SPECjbb")
 
     def test_search_workload_resolution(self):
+        def resolve_search_workloads(workloads=None, suite=None):
+            # a search spec's workloads, as the job layer resolves them
+            return tuple(normalize("search", {
+                "workloads": workloads, "suite": suite,
+                "dims": ["optimizer.enabled=false,true"]})["workloads"])
         names = resolve_search_workloads(["synth:ilp@seed=0", "mcf"])
         assert names == ("synth:ilp@seed=0", "mcf")
         assert len(resolve_search_workloads(suite="synth")) \
