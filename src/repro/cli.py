@@ -211,9 +211,13 @@ def _usage_error(command: str, error: Exception) -> int:
 
 #: The global segmentation options of commands that build no policy:
 #: search and autotune simulate whole traces, fuzz takes --segment-insns
-#: as its spec's segment size.  Others are refused, not ignored.
+#: as its spec's segment size, and serve (each job carries its own
+#: policy), list, store, watch, worker and metrics simulate nothing
+#: themselves.  Others are refused, not ignored.
 _SEGMENT_FLAGS_TAKEN = {"search": (), "autotune": (),
-                        "fuzz": ("--segment-insns",)}
+                        "fuzz": ("--segment-insns",),
+                        "serve": (), "list": (), "store": (), "watch": (),
+                        "worker": (), "metrics": ()}
 
 
 def _build_segment_policy(args) -> SegmentPolicy | None:

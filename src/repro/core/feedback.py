@@ -82,6 +82,3 @@ class ValueFeedbackChannel:
     def record_known(self, preg: int, value: int) -> None:
         """Record a value the optimizer itself computed (early execution)."""
         self.known[preg] = (self._versions[preg], value)
-
-    def known_count(self) -> int:
-        return len(self.known)

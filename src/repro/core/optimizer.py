@@ -15,7 +15,10 @@ instruction:
    Memory Bypass Cache (:mod:`repro.core.mbc`) to eliminate redundant
    loads and forward stores;
 4. enforces the intra-bundle dependence-depth limits of Section 6.2
-   (chained additions, chained memory operations);
+   (chained additions, chained memory operations), recording for each
+   failed test the smallest limit at which it would have passed, so a
+   finished run answers for every limit it provably repeats (see
+   :func:`covers`);
 5. verifies every produced value against the oracle trace — the
    paper's strict expression and value checking (Section 4.2).
 
@@ -47,6 +50,8 @@ normalized check of :meth:`OptimizingRenamer._verify`.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from ..functional.alu import to_signed64
 from ..isa.instructions import Imm, Instruction
@@ -252,6 +257,8 @@ class OptimizingRenamer(BaselineRenamer):
             # This transformation would chain one more serial addition
             # onto this cycle's optimizer ALUs than the hardware has.
             self.stat_depth_rejections += 1
+            if depth < self.add_bound:
+                self.add_bound = depth
             kind = cpra.PLAIN
             reduced = False
         elif kind != EARLY and not self._opt:
@@ -362,6 +369,22 @@ class OptimizingRenamer(BaselineRenamer):
         return preg
 
     # ------------------------------------------------------------------
+    # failed depth-limit tests (see covers)
+    # ------------------------------------------------------------------
+
+    def _chain_limit_failed(self, tag: tuple[int, int, int]) -> None:
+        """A load or store base's chain *tag* failed the limits.
+
+        The bound goes to the part that failed, the add part when both
+        did: while that part still fails, so does the test.
+        """
+        if tag[1] > self._add_depth:
+            if tag[1] < self.add_bound:
+                self.add_bound = tag[1]
+        elif tag[2] < self.mem_bound:
+            self.mem_bound = tag[2]
+
+    # ------------------------------------------------------------------
     # verification (Section 4.2: strict expression and value checking)
     # ------------------------------------------------------------------
 
@@ -406,6 +429,8 @@ class OptimizingRenamer(BaselineRenamer):
                 self.stat_early += 1
             else:
                 self.stat_depth_rejections += 1
+                if depth - 1 < self.add_bound:
+                    self.add_bound = depth - 1
         if not di.early:
             di.src_pregs = self._add_refs(map(self._mapping_of,
                                               di.arch_srcs))
@@ -449,6 +474,8 @@ class OptimizingRenamer(BaselineRenamer):
                 di.early = True
                 self.stat_early += 1
                 return
+            if depth - 1 < self.add_bound:
+                self.add_bound = depth - 1
         di.src_pregs = self._add_refs(map(self._mapping_of, di.arch_srcs))
 
     def _rename_load(self, di: DynInstr) -> None:
@@ -464,6 +491,7 @@ class OptimizingRenamer(BaselineRenamer):
             if tag[1] <= self._add_depth and tag[2] <= self._mem_depth:
                 self._rename_known_load(di, sym[2] + di.instr.disp)
                 return
+            self._chain_limit_failed(tag)
         # Address not available at rename: agen depends on the
         # (possibly reassociated) base register.  Its reference is
         # taken first: the base may be pinned only by the destination's
@@ -601,6 +629,8 @@ class OptimizingRenamer(BaselineRenamer):
                     self._verify(di, addr, di.addr,
                                  "rename-time store address")
                 di.addr_known = addr_known = True
+            else:
+                self._chain_limit_failed(tag)
         if not addr_known:
             # Address generation depends on the (possibly
             # reassociated) base register.
@@ -710,6 +740,28 @@ class OptimizingRenamer(BaselineRenamer):
             "opt_depth_rejections": self.stat_depth_rejections,
             "opt_values_fed_back": self.feedback.values_fed_back,
         })
+
+
+def covers(ran: MachineConfig, bounds: tuple, wanted: MachineConfig) -> bool:
+    """Whether the finished run of *ran* is exactly the run of *wanted*.
+
+    *bounds* is the run's ``(add_bound, mem_bound)``: the smallest
+    ``add_depth`` and ``mem_depth`` at which a limit test that failed
+    in it would have passed.  The renamer reads the two limits nowhere
+    but in those tests, and a test that passes at one limit passes at
+    every larger one.  So under any limits in ``[add_depth,
+    add_bound) x [mem_depth, mem_bound)`` every test decides as it did
+    in the run, and the run repeats event for event: it answers every
+    *wanted* that differs from *ran* only there.  A larger limit may
+    pass a test the run failed; a smaller one, fail a test it passed.
+    """
+    have, want = ran.optimizer, wanted.optimizer
+    add_bound, mem_bound = bounds
+    return (have.add_depth <= want.add_depth < add_bound
+            and have.mem_depth <= want.mem_depth < mem_bound
+            and ran == replace(wanted, optimizer=replace(
+                want, add_depth=have.add_depth,
+                mem_depth=have.mem_depth)))
 
 
 # The per-category handler of every opcode id, as plain functions (a

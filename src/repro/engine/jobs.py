@@ -18,6 +18,7 @@ import time
 
 from ..uarch.config import default_config
 from ..workloads import get_workload
+from ..workloads.common import check_scale
 from ..workloads.synth import FAMILIES
 from .campaign import Campaign, parse_axis
 from .differential import DEFAULT_SEGMENT_INSNS, run_fuzz
@@ -111,6 +112,8 @@ def _campaign(spec: dict) -> Campaign:
 
 
 def _finish_grid(spec: dict) -> None:
+    for scale in spec["scales"]:
+        check_scale(scale)
     spec["workloads"] = list(_campaign(spec).workloads)
     del spec["suite"]
     if "policy" in spec:
@@ -138,6 +141,7 @@ def _finish_search(spec: dict) -> None:
 
 
 def _finish_fuzz(spec: dict) -> None:
+    check_scale(spec["scale"])
     unknown = [f for f in spec["families"] if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown families {unknown}; "

@@ -30,15 +30,19 @@ shard finishes; :func:`run_sweep` is the collect-everything wrapper:
   actually truncate the trace, in which case the result *is* the full
   run's and is stored under the full-run key so later full-budget
   evaluations reuse it instead of re-simulating identical work.
+* A point that an earlier run of the same trace provably repeats (see
+  :func:`~repro.uarch.pipeline.simulate_trace`) takes that run's stats
+  and reports ``simulated: false``; the store still gets its stats
+  under its own key.
 
 All execution state lives in an explicit :class:`ExecutionContext`
-(store binding + bounded LRU trace cache + counters), one per
-executing environment: the inline backend builds a fresh environment
-per planner run, so two interleaved serial sweeps — exactly what the
-streaming service (:mod:`repro.engine.service`) produces — can never
-clobber each other's store or corrupt each other's hit/miss
-accounting; each pool or socket worker keeps one in its environment
-scratch and reuses it across the units it leases.
+(store binding + bounded LRU trace cache and run record + counters),
+one per executing environment: the inline backend builds a fresh
+environment per planner run, so two interleaved serial sweeps —
+exactly what the streaming service (:mod:`repro.engine.service`)
+produces — can never clobber each other's store or corrupt each
+other's hit/miss accounting; each pool or socket worker keeps one in
+its environment scratch and reuses it across the units it leases.
 """
 
 from __future__ import annotations
@@ -66,6 +70,11 @@ from .telemetry import TELEMETRY
 #: trace it ever emulated.
 DEFAULT_TRACE_CACHE = 8
 
+#: Finished runs a context keeps per trace for answering repeats (see
+#: :meth:`ExecutionContext.run_shard`): a depth grid needs a handful,
+#: and a long-lived worker must not keep every run it ever finished.
+RUNS_PER_TRACE = 32
+
 
 class ExecutionContext:
     """Per-sweep execution state: store, trace cache, eviction counter.
@@ -81,6 +90,9 @@ class ExecutionContext:
     (``None`` = unbounded); evictions are counted in
     ``trace_evictions`` and only cost a store unpickle (or, with no
     store, a re-emulation) on the next touch — results are unaffected.
+    The record of finished runs, keyed ``(workload, scale,
+    limit_insns)``, is bounded alike, and keeps each trace's latest
+    :data:`RUNS_PER_TRACE` runs.
     """
 
     def __init__(self, store_dir: str | os.PathLike | None = None,
@@ -93,6 +105,8 @@ class ExecutionContext:
         self.max_cached_traces = max_cached_traces
         self._traces: OrderedDict[tuple[str, int], list] = OrderedDict()
         self.trace_evictions = 0
+        self._runs: OrderedDict[tuple[str, int, int | None], list] = \
+            OrderedDict()
 
     @property
     def cached_traces(self) -> int:
@@ -125,6 +139,20 @@ class ExecutionContext:
                 TELEMETRY.counter(
                     "repro_trace_cache_evictions_total").inc()
         return trace, emulated, store_hit
+
+    def _finished_runs(self, workload: str, scale: int,
+                       limit_insns: int | None) -> list:
+        """The record of this context's finished runs of one trace."""
+        key = (workload, scale, limit_insns)
+        runs = self._runs.get(key)
+        if runs is not None:
+            self._runs.move_to_end(key)
+            return runs
+        runs = self._runs[key] = []
+        if self.max_cached_traces is not None \
+                and len(self._runs) > self.max_cached_traces:
+            self._runs.popitem(last=False)
+        return runs
 
     def run_shard(self, shard: list[tuple[int, str, int, str, object]],
                   limit_insns: int | None = None
@@ -171,8 +199,13 @@ class ExecutionContext:
                 if stats is None:
                     if effective_limit is not None:
                         trace = trace[:effective_limit]
-                    stats = simulate_trace(trace, config)
-                    flags["simulated"] = True
+                    runs = self._finished_runs(workload, scale,
+                                               effective_limit)
+                    finished = len(runs)
+                    stats = simulate_trace(trace, config, runs)
+                    flags["simulated"] = len(runs) > finished
+                    if len(runs) > RUNS_PER_TRACE:
+                        del runs[0]
                     if self.store is not None:
                         self.store.save_stats(
                             workload, scale, config, stats,

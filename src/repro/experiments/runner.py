@@ -4,10 +4,12 @@ All experiment modules funnel through :func:`run_workload`.  Lookups
 go memory -> artifact store -> compute:
 
 * the **in-memory caches** memoize traces and stats for the life of
-  the process (one emulation per workload/scale, one simulation per
-  workload/scale/machine configuration), keyed by the configs'
-  explicit :meth:`~repro.uarch.config.MachineConfig.cache_key` so
-  identity never depends on interpreter-local ``__hash__``;
+  the process (one emulation per workload/scale, at most one
+  simulation per workload/scale/machine configuration), keyed by the
+  configs' explicit :meth:`~repro.uarch.config.MachineConfig.cache_key`
+  so identity never depends on interpreter-local ``__hash__``; a
+  configuration that an earlier run of the same trace provably repeats
+  (see :func:`~repro.uarch.pipeline.simulate_trace`) takes its stats;
 * the optional **persistent store** (:func:`configure` with a
   directory, or ``repro --store DIR``) makes results survive across
   processes, so re-running a figure after a sweep costs nothing;
@@ -41,6 +43,9 @@ _trace_cache: dict[tuple[str, int], PackedTrace] = {}
 #: results distinct (their cycle counts legitimately differ, and a
 #: sampled run's are estimates).
 _stats_cache: dict[tuple[str, int, str, str], PipelineStats] = {}
+#: Finished monolithic runs per (workload, scale), the record
+#: :func:`~repro.uarch.pipeline.simulate_trace` answers repeats from.
+_runs: dict[tuple[str, int], list] = {}
 _store: ArtifactStore | None = None
 _default_jobs: int = 1
 _segment_policy: SegmentPolicy | None = None
@@ -146,6 +151,7 @@ def clear_caches(*, detach_store: bool = False) -> None:
         _backend
     _trace_cache.clear()
     _stats_cache.clear()
+    _runs.clear()
     if detach_store:
         _store = None
         _scratch_store = None
@@ -198,7 +204,8 @@ def run_workload(name: str, config: MachineConfig,
         if _store is not None:
             stats = _store.load_stats(name, scale, config)
         if stats is None:
-            stats = simulate_trace(get_trace(name, scale), config)
+            stats = simulate_trace(get_trace(name, scale), config,
+                                   _runs.setdefault((name, scale), []))
             if _store is not None:
                 _store.save_stats(name, scale, config, stats)
     _stats_cache[key] = stats

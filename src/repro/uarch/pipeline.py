@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from dataclasses import replace
 from heapq import heappop, heappush
 from operator import attrgetter, itemgetter
 
@@ -703,8 +704,8 @@ def _telemetry():
     return _TELEMETRY
 
 
-def simulate_trace(trace: PackedTrace,
-                   config: MachineConfig) -> PipelineStats:
+def simulate_trace(trace: PackedTrace, config: MachineConfig,
+                   runs: list | None = None) -> PipelineStats:
     """Simulate *trace* on *config*'s machine and return its stats.
 
     *trace* is a :class:`PackedTrace` (what the emulator produces;
@@ -712,13 +713,28 @@ def simulate_trace(trace: PackedTrace,
     optimizing renamer when
     ``config.optimizer.enabled``, otherwise the baseline renamer.
 
+    *runs*, if given, is the caller's record of finished runs of this
+    same trace, one ``(config, (add_bound, mem_bound), stats)`` entry
+    per run.  When one of them provably repeats *config* (see
+    :func:`repro.core.optimizer.covers`: it differs only in depth
+    limits its run never tested apart), the call returns a copy of its
+    stats and simulates nothing; otherwise it simulates and appends
+    the run.
+
     Telemetry sits at per-run granularity (one clock read pair around
     the whole simulation — never per cycle), recording wall time,
     retired instruction and cycle totals, and a simulation-throughput
-    gauge.
+    gauge; an answered call counts in ``repro_sim_reused_total``.
     """
+    if runs:
+        from ..core.optimizer import covers
+        for ran, bounds, stats in runs:
+            if covers(ran, bounds, config):
+                _telemetry().counter("repro_sim_reused_total").inc()
+                return replace(stats, extra=dict(stats.extra))
     started_ns = time.perf_counter_ns()
-    stats = make_pipeline(trace, config).run()
+    pipeline = make_pipeline(trace, config)
+    stats = pipeline.run()
     telemetry = _telemetry()
     if telemetry.enabled:
         elapsed = (time.perf_counter_ns() - started_ns) / 1e9
@@ -732,4 +748,7 @@ def simulate_trace(trace: PackedTrace,
                 stats.retired / elapsed)
             telemetry.gauge("repro_sim_cycles_per_second").set(
                 stats.cycles / elapsed)
+    if runs is not None:
+        renamer = pipeline.renamer
+        runs.append((config, (renamer.add_bound, renamer.mem_bound), stats))
     return stats

@@ -78,9 +78,6 @@ class PhysRegFile:
     def num_regs(self) -> int:
         return self._num_regs
 
-    def can_allocate(self, count: int = 1) -> bool:
-        return len(self.free_list) >= count
-
     def allocate(self) -> int:
         """Take a register off the free list with an initial count of 1.
 
@@ -133,17 +130,6 @@ class PhysRegFile:
                 self.versions[preg] += 1
                 self.free_list.append(preg)
 
-    def is_live(self, preg: int) -> bool:
-        """True while *preg* holds at least one reference."""
-        return self.refcounts[preg] > 0
-
-    def refcount(self, preg: int) -> int:
-        return self.refcounts[preg]
-
-    def version(self, preg: int) -> int:
-        """Current allocation version of *preg* (bumps on free)."""
-        return self.versions[preg]
-
     # ------------------------------------------------------------------
     # value/readiness tracking (writeback and early execution)
     # ------------------------------------------------------------------
@@ -152,10 +138,3 @@ class PhysRegFile:
         """Record that *preg* has been written."""
         self.ready[preg] = True
         self.values[preg] = value
-
-    def is_ready(self, preg: int) -> bool:
-        return self.ready[preg]
-
-    def value_of(self, preg: int) -> int | float | None:
-        """The written value of *preg* (None if not yet written)."""
-        return self.values[preg]

@@ -10,6 +10,8 @@ installed.
 
 from __future__ import annotations
 
+import math
+
 from ..isa.program import STACK_BASE
 from ..isa.registers import (NUM_ARCH_REGS, STACK_POINTER_REG, is_fp_reg,
                              is_zero_reg)
@@ -36,6 +38,13 @@ class Renamer:
     ``on_retire``) left at this class's no-op, so a renamer pays only
     for the hooks it overrides.
     """
+
+    #: The smallest ``add_depth`` and ``mem_depth`` at which a limit
+    #: test that failed during the run would have passed: infinite
+    #: while none failed, as in a renamer that tests no limit.
+    #: :func:`repro.core.optimizer.covers` states what they prove.
+    add_bound: int | float = math.inf
+    mem_bound: int | float = math.inf
 
     def begin_bundle(self, cycle: int) -> None:
         """Called once per cycle before the first rename of the cycle."""

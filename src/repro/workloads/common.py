@@ -58,6 +58,12 @@ def fill_random_quads(label: str, count_reg: str, count: int,
     return body
 
 
+def check_scale(scale: int) -> None:
+    """Refuse a *scale* below 1, which no kernel can be built at."""
+    if scale < 1:
+        raise ValueError(f"scale must be >= 1, got {scale}")
+
+
 @dataclass(frozen=True)
 class Workload:
     """One benchmark kernel of the experimental workload (Table 1)."""
@@ -70,6 +76,5 @@ class Workload:
 
     def source(self, scale: int = 1) -> str:
         """Assembly text of this kernel at the given *scale*."""
-        if scale < 1:
-            raise ValueError(f"scale must be >= 1, got {scale}")
+        check_scale(scale)
         return self.source_fn(scale)

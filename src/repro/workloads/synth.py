@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass
 
 from ..uarch.config import canonical_json
-from .common import Workload, fill_random_quads, lcg_step
+from .common import Workload, check_scale, fill_random_quads, lcg_step
 
 #: Canonical-name prefix of every synthetic workload.
 PREFIX = "synth:"
@@ -148,8 +148,7 @@ class SynthSpec:
 
     def source(self, scale: int = 1) -> str:
         """Generate this program's assembly text at *scale*."""
-        if scale < 1:
-            raise ValueError(f"scale must be >= 1, got {scale}")
+        check_scale(scale)
         return _GENERATORS[self.family](self, scale)
 
     def rng(self) -> random.Random:

@@ -59,6 +59,29 @@ class TestParser:
             assert command in text
 
 
+#: A command that simulates nothing itself -> arguments it parses with.
+NO_POLICY_COMMANDS = {
+    "serve": ["serve"],
+    "list": ["list"],
+    "store": ["store", "info"],
+    "watch": ["watch", "j1"],
+    "worker": ["worker", "--connect", "127.0.0.1:1"],
+    "metrics": ["metrics"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_POLICY_COMMANDS))
+def test_commands_without_a_policy_refuse_segmentation_flags(command,
+                                                             capsys):
+    # the flags would be read by nothing: refused before the command
+    # runs (no server starts, no store or socket is touched)
+    argv = ["--segment-insns", "1000", *NO_POLICY_COMMANDS[command]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"repro {command}: error: {command} does not take " \
+        f"--segment-insns\n"
+
+
 def _populate_store(root) -> ArtifactStore:
     """A store holding one tiny trace and one stats artifact."""
     store = ArtifactStore(root)

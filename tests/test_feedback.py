@@ -91,4 +91,4 @@ class TestLiveness:
         channel.publish(preg, 1, cycle=0)
         channel.drain(cycle=0)
         assert channel.values_fed_back == 1
-        assert channel.known_count() == 1
+        assert len(channel.known) == 1

@@ -207,6 +207,13 @@ REJECTIONS = {
     "fuzz segment size": (
         ["--segment-insns", "-5", "fuzz"],
         {"kind": "fuzz", "segment_insns": -5}, "segment_insns"),
+    "sweep scale": (
+        ["sweep", "--workloads", "mcf", "--scales", "1,0"],
+        {"kind": "sweep", "workloads": ["mcf"], "scales": [1, 0]},
+        "scale must be >= 1, got 0"),
+    "fuzz scale": (
+        ["--scale", "0", "fuzz"],
+        {"kind": "fuzz", "scale": 0}, "scale must be >= 1, got 0"),
 }
 
 

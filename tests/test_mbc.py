@@ -47,9 +47,9 @@ class TestLookupInsert:
 
     def test_insert_pins_base_register(self, mbc, prf):
         preg = alloc(prf)
-        assert prf.refcount(preg) == 1
+        assert prf.refcounts[preg] == 1
         mbc.insert(0x1000, 8, symbolic.plain(preg), 0)
-        assert prf.refcount(preg) == 2
+        assert prf.refcounts[preg] == 2
 
     def test_const_entry_pins_nothing(self, mbc, prf):
         before = prf.num_free
@@ -61,8 +61,8 @@ class TestLookupInsert:
         new = alloc(prf)
         mbc.insert(0x1000, 8, symbolic.plain(old), 0)
         mbc.insert(0x1000, 8, symbolic.plain(new), 1)
-        assert prf.refcount(old) == 1
-        assert prf.refcount(new) == 2
+        assert prf.refcounts[old] == 1
+        assert prf.refcounts[new] == 2
         assert mbc.lookup(0x1000, 8).sym.base == new
 
 
@@ -87,7 +87,7 @@ class TestEvictionAndInvalidation:
         preg = alloc(prf)
         mbc.insert(0x1000, 8, symbolic.plain(preg), 0)
         mbc.insert(0x2000, 8, symbolic.const(0), 0)
-        assert prf.refcount(preg) == 1
+        assert prf.refcounts[preg] == 1
 
     def test_invalidate_overlap_partial(self, mbc):
         mbc.insert(0x1000, 8, symbolic.const(1), 1)
@@ -129,7 +129,7 @@ class TestEvictionAndInvalidation:
             mbc.insert(0x1000 + index * 8, 8, symbolic.plain(preg), 0)
         mbc.clear()
         assert len(mbc) == 0
-        assert all(prf.refcount(p) == 1 for p in pregs)
+        assert all(prf.refcounts[p] == 1 for p in pregs)
 
 
 class TestStatistics:

@@ -23,14 +23,14 @@ class TestAllocation:
     def test_initial_refcount_is_one(self):
         prf = PhysRegFile(4)
         preg = prf.allocate()
-        assert prf.refcount(preg) == 1
-        assert prf.is_live(preg)
+        assert prf.refcounts[preg] == 1
+        assert prf.refcounts[preg] > 0
 
     def test_release_to_zero_frees(self):
         prf = PhysRegFile(1)
         preg = prf.allocate()
         prf.release_all((preg,))
-        assert not prf.is_live(preg)
+        assert prf.refcounts[preg] == 0
         assert prf.allocate() == preg  # recycled
 
     def test_add_ref_prevents_free(self):
@@ -38,9 +38,9 @@ class TestAllocation:
         preg = prf.allocate()
         prf.add_refs((preg,))
         prf.release_all((preg,))
-        assert prf.is_live(preg)
+        assert prf.refcounts[preg] > 0
         prf.release_all((preg,))
-        assert not prf.is_live(preg)
+        assert prf.refcounts[preg] == 0
 
     def test_add_ref_on_free_register_rejected(self):
         prf = PhysRegFile(2)
@@ -76,28 +76,28 @@ class TestVersions:
     def test_version_bumps_on_free(self):
         prf = PhysRegFile(1)
         preg = prf.allocate()
-        version = prf.version(preg)
+        version = prf.versions[preg]
         prf.release_all((preg,))
         prf.allocate()
-        assert prf.version(preg) == version + 1
+        assert prf.versions[preg] == version + 1
 
     def test_version_stable_while_live(self):
         prf = PhysRegFile(2)
         preg = prf.allocate()
-        version = prf.version(preg)
+        version = prf.versions[preg]
         prf.add_refs((preg,))
         prf.release_all((preg,))
-        assert prf.version(preg) == version
+        assert prf.versions[preg] == version
 
 
 class TestValues:
     def test_mark_ready_stores_value(self):
         prf = PhysRegFile(2)
         preg = prf.allocate()
-        assert not prf.is_ready(preg)
+        assert not prf.ready[preg]
         prf.mark_ready(preg, 42)
-        assert prf.is_ready(preg)
-        assert prf.value_of(preg) == 42
+        assert prf.ready[preg]
+        assert prf.values[preg] == 42
 
     def test_free_clears_readiness(self):
         prf = PhysRegFile(1)
@@ -106,8 +106,8 @@ class TestValues:
         prf.release_all((preg,))
         preg2 = prf.allocate()
         assert preg2 == preg
-        assert not prf.is_ready(preg2)
-        assert prf.value_of(preg2) is None
+        assert not prf.ready[preg2]
+        assert prf.values[preg2] is None
 
 
 class TestRefcountInvariant:
@@ -118,7 +118,7 @@ class TestRefcountInvariant:
         live: list[int] = []
         for op in ops:
             if op == "alloc":
-                if prf.can_allocate():
+                if prf.free_list:
                     live.append(prf.allocate())
             elif op == "ref" and live:
                 prf.add_refs((live[0],))
@@ -128,7 +128,7 @@ class TestRefcountInvariant:
                 prf.release_all((preg,))
         # Every live handle corresponds to a live register.
         for preg in live:
-            assert prf.is_live(preg)
+            assert prf.refcounts[preg] > 0
         # Dropping every handle returns the file to fully free.
         while live:
             prf.release_all((live.pop(),))

@@ -47,9 +47,9 @@ class TestArchRAT:
         prf = PhysRegFile(128)
         rat = ArchRAT(prf)
         sp = rat.lookup(STACK_POINTER_REG)
-        assert prf.is_ready(sp)
-        assert prf.value_of(sp) == STACK_BASE
-        assert prf.value_of(rat.lookup(1)) == 0
+        assert prf.ready[sp]
+        assert prf.values[sp] == STACK_BASE
+        assert prf.values[rat.lookup(1)] == 0
 
     def test_remap_returns_previous(self):
         prf = PhysRegFile(128)
@@ -106,19 +106,19 @@ class TestBaselineRenamer:
         old = probe.first_mapping
         assert probe.live_at_rename[old]
         assert not probe.live_at_retire[old]
-        assert not probe.prf.is_live(old)
+        assert probe.prf.refcounts[old] == 0
 
     def test_exhaustion_raises_before_mutation(self):
         # Drain the free list.
-        while self.prf.can_allocate():
+        while self.prf.free_list:
             self.prf.allocate()
         di = make_di(Instruction(opcode=Opcode.ADD, dst=1,
                                  srcs=(Reg(2), Reg(3))))
         p2 = self.renamer.rat.lookup(2)
-        before = self.prf.refcount(p2)
+        before = self.prf.refcounts[p2]
         with pytest.raises(OutOfRegisters):
             self.renamer.rename(di, cycle=0)
-        assert self.prf.refcount(p2) == before  # no leaked reference
+        assert self.prf.refcounts[p2] == before  # no leaked reference
 
     def test_serial_renames_chain_mappings(self):
         first = make_di(Instruction(opcode=Opcode.ADD, dst=1,
@@ -154,31 +154,31 @@ class _Probe(BaselineRenamer):
         super().__init__(prf)
         self.prf = prf
         self.first_mapping = self.rat.lookup(register)
-        self.counts: list[int] = [prf.refcount(self.first_mapping)]
+        self.counts: list[int] = [prf.refcounts[self.first_mapping]]
         self.in_flight = None
         self.completed_count = None
         self.live_at_rename: dict[int, bool] = {}
         self.live_at_retire: dict[int, bool] = {}
 
     def begin_bundle(self, cycle):
-        self.counts.append(self.prf.refcount(self.first_mapping))
+        self.counts.append(self.prf.refcounts[self.first_mapping])
 
     def rename(self, di, cycle):
         super().rename(di, cycle)
         if di.op == _ADD_ID:
-            self.live_at_rename[self.first_mapping] = self.prf.is_live(
-                self.first_mapping)
+            first = self.first_mapping
+            self.live_at_rename[first] = self.prf.refcounts[first] > 0
 
     def on_complete(self, di, cycle):
         if di.op == _ADD_ID:
             # one bundle later the add was in flight with its source
             self.in_flight = max(self.counts)
-            self.completed_count = self.prf.refcount(self.first_mapping)
+            self.completed_count = self.prf.refcounts[self.first_mapping]
 
     def on_retire(self, di):
         if di.op == _ADD_ID:
-            self.live_at_retire[self.first_mapping] = self.prf.is_live(
-                self.first_mapping)
+            first = self.first_mapping
+            self.live_at_retire[first] = self.prf.refcounts[first] > 0
 
 
 _ADD_ID = OPCODE_ID[Opcode.ADD]
@@ -247,7 +247,7 @@ class TestReferenceOwnership:
         free = list(prf.free_list)
         assert len(free) == len(set(free))
         assert set(free) == {preg for preg in range(prf.num_regs)
-                             if prf.refcount(preg) == 0}
+                             if prf.refcounts[preg] == 0}
         renamer = pipeline.renamer
         if label == "baseline":
             # no instruction is in flight: the live registers are
@@ -255,12 +255,13 @@ class TestReferenceOwnership:
             mapped = [preg for preg in renamer.rat.mapping
                       if preg is not None]
             assert sorted(mapped) == sorted(
-                preg for preg in range(prf.num_regs) if prf.is_live(preg))
-            assert all(prf.refcount(preg) == 1 for preg in mapped)
+                preg for preg in range(prf.num_regs)
+                if prf.refcounts[preg] > 0)
+            assert all(prf.refcounts[preg] == 1 for preg in mapped)
         else:
             holders = _optimizer_references(renamer)
             for preg in range(prf.num_regs):
-                assert prf.refcount(preg) == holders.count(preg), preg
+                assert prf.refcounts[preg] == holders.count(preg), preg
 
     def test_double_release_raises(self):
         # A renamer that still releases its sources at completion, as
@@ -313,4 +314,4 @@ skip:   ldi r3, 2
         prf = pipeline.prf
         holders = _optimizer_references(pipeline.renamer)
         for preg in range(prf.num_regs):
-            assert prf.refcount(preg) == holders.count(preg), preg
+            assert prf.refcounts[preg] == holders.count(preg), preg
